@@ -8,6 +8,7 @@ human-readable summaries and timings go to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -36,6 +37,26 @@ from .spaces import (
 from .suites import CheckRecord, Report, RunConfig, run_suite
 
 
+def _trial_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text!r}")
+    return value
+
+
 def _shared_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -43,7 +64,7 @@ def _shared_flags() -> argparse.ArgumentParser:
         help="exact rational arithmetic (default) or tolerant floats",
     )
     common.add_argument(
-        "--tolerance", type=float, default=DEFAULT_FLOAT_TOLERANCE,
+        "--tolerance", type=_tolerance, default=DEFAULT_FLOAT_TOLERANCE,
         help="comparison tolerance for float mode (default 1e-9)",
     )
     common.add_argument(
@@ -113,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a property-check suite and report")
     p.add_argument("suite", choices=("metric", "measure", "kantorovich",
                                      "scheme", "step", "all"))
-    p.add_argument("--trials", type=int, default=100,
+    p.add_argument("--trials", type=_trial_count, default=100,
                    help="randomized instances per record (default 100)")
     p.add_argument("--n", type=int, default=4, help="fixture ambient size")
     p.add_argument("--k", type=int, default=2, help="fixture subset size")
@@ -136,7 +157,11 @@ def _mode(args):
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("ZFUN_SEED", "0"))
+    raw = os.environ.get("ZFUN_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise FormatError(f"ZFUN_SEED must be an integer, got {raw!r}") from None
 
 
 def _emit(obj, args) -> None:

@@ -63,10 +63,6 @@ class AnchorDiameterNotOne(ZfunError):
     """The anchor (or pad) space does not have diameter exactly one."""
 
 
-class AnchorMismatch(ZfunError):
-    """Two glued objects were built over different anchors."""
-
-
 class NotInFamily(ZfunError):
     """A subset is not a member of the fixture's distinguished family."""
 

@@ -1,4 +1,4 @@
-"""JSON file formats for spaces, maps, measures and step functions.
+"""JSON file formats for spaces, maps and measures.
 
 Numbers are always serialized as strings ("3/2", "0.25") so exact values
 survive round trips.  Fields holding a sub-object (a map's domain, a measure's
@@ -16,7 +16,6 @@ from .kantorovich import LipschitzPotential, TransportPlan
 from .measures import ProbMeasure, prob_measure
 from .numbers import EXACT, Mode, format_number
 from .spaces import FiniteMetricSpace, MetricMap, metric_map, validate_space
-from .stepspace import StepFunction, step_function
 
 
 def load_json(path: str | Path):
@@ -79,14 +78,6 @@ def map_from_obj(obj, mode: Mode = EXACT, base: Path | None = None) -> MetricMap
     return metric_map(domain, codomain, assignment)
 
 
-def map_to_obj(f: MetricMap) -> dict:
-    return {
-        "domain": space_to_obj(f.domain),
-        "codomain": space_to_obj(f.codomain),
-        "assignment": f.as_dict(),
-    }
-
-
 def load_map(path: str | Path, mode: Mode = EXACT) -> MetricMap:
     return map_from_obj(load_json(path), mode, Path(path).parent)
 
@@ -110,27 +101,6 @@ def measure_to_obj(mu: ProbMeasure) -> dict:
 
 def load_measure(path: str | Path, mode: Mode = EXACT) -> ProbMeasure:
     return measure_from_obj(load_json(path), mode, Path(path).parent)
-
-
-def step_from_obj(obj, mode: Mode = EXACT, base: Path | None = None) -> StepFunction:
-    obj, _ = _resolve(obj, base)
-    _require_keys(obj, ("target", "breakpoints", "values"), "a step function")
-    target = space_from_obj(obj["target"], mode, base)
-    if not isinstance(obj["breakpoints"], list) or not isinstance(obj["values"], list):
-        raise FormatError("'breakpoints' and 'values' must be lists")
-    return step_function(target, obj["breakpoints"], obj["values"], mode)
-
-
-def step_to_obj(u: StepFunction) -> dict:
-    return {
-        "target": space_to_obj(u.target),
-        "breakpoints": [format_number(t) for t in u.breakpoints],
-        "values": list(u.values),
-    }
-
-
-def load_step(path: str | Path, mode: Mode = EXACT) -> StepFunction:
-    return step_from_obj(load_json(path), mode, Path(path).parent)
 
 
 def potential_to_obj(f: LipschitzPotential) -> dict:

@@ -90,12 +90,6 @@ def random_map(
     return metric_map(domain, codomain, assignment)
 
 
-def random_bijection(rng: random.Random, space: FiniteMetricSpace) -> MetricMap:
-    shuffled = list(space.points)
-    rng.shuffle(shuffled)
-    return metric_map(space, space, dict(zip(space.points, shuffled)))
-
-
 def random_step_function(
     rng: random.Random,
     target: FiniteMetricSpace,

@@ -79,7 +79,12 @@ class Mode:
 
     def convert(self, value) -> Num:
         q = parse_number(value)
-        return q if self.is_exact else float(q)
+        if self.is_exact:
+            return q
+        try:
+            return float(q)
+        except OverflowError as exc:
+            raise FormatError(f"too large for float mode: {value!r}") from exc
 
     def eq(self, a: Num, b: Num) -> bool:
         if self.is_exact:

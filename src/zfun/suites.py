@@ -1,10 +1,12 @@
 """Seeded property-check suites with JSON-serializable reports.
 
-Each suite runs an ordered catalog of named checks.  A check draws its own
-deterministic random stream (derived from the global seed and the record
-name), runs a batch of instances, and collects failure witnesses.  Every
-record carries one label from the closed tag set below, so reports can be
-filtered by the law a record exercises:
+Each suite runs an ordered catalog of named checks, registered with
+:func:`check`.  A check draws its own deterministic random stream (derived
+from the global seed and the check's stream label), runs a batch of
+instances, and collects failure witnesses.  A check that raises stops there
+and every record it owns fails with an ``error`` witness; the other checks
+still run.  Every record carries one label from the closed tag set below, so
+reports can be filtered by the law a record exercises:
 
 =========  ==============================================================
 tag        law
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -62,7 +65,7 @@ from .measures import (
     preimage_measure,
     pushforward,
 )
-from .numbers import EXACT, Mode, format_number
+from .numbers import EXACT, Mode, format_number as _fmt
 from .scheme import (
     build_finite_fixture,
     decompose_automorphism,
@@ -102,7 +105,7 @@ from .stepspace import (
 )
 
 TAGS = (
-    "(a)", "(b)", "(c)", "(d)", "(e)", "(f)", "(g)", "(h)", "(i)",
+    "(a)", "(b)", "(c)", "(d)", "(e)", "(g)", "(h)", "(i)",
     "(Λ1)", "(Λ2)", "(Λ3)", "(Λ4)", "(Λ5)",
     "plumbing",
 )
@@ -196,10 +199,6 @@ class Report:
         return json.dumps(self.as_dict(), indent=2, ensure_ascii=False) + "\n"
 
 
-def _fmt(value) -> str:
-    return format_number(value)
-
-
 # ---------------------------------------------------------------------------
 # shrinking helpers
 
@@ -251,43 +250,111 @@ def shrink_matrix_violation(points, matrix, mode: Mode) -> tuple[tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
+# check registry
+
+_log = logging.getLogger(__name__)
+
+
+def _every_trial(cfg: RunConfig) -> int:
+    return cfg.trials
+
+
+def _half_trials(cfg: RunConfig) -> int:
+    return max(1, cfg.trials // 2)
+
+
+def _always(cfg: RunConfig) -> bool:
+    return True
+
+
+@dataclass(frozen=True)
+class _Check:
+    stream: str | None
+    records: tuple[tuple[str, str], ...]
+    body: Callable
+    trials: Callable[[RunConfig], int] | None
+    setup: Callable[[RunConfig], object] | None
+    when: Callable[[RunConfig], bool]
+
+    def run(self, cfg: RunConfig) -> list[CheckRecord]:
+        records = [CheckRecord(name, tag) for name, tag in self.records]
+        # setup errors (a fixture that n and k cannot build) end the whole run
+        extra = () if self.setup is None else (self.setup(cfg),)
+        try:
+            if self.trials is None:
+                self.body(records[0], cfg, *extra)
+            else:
+                rng = generate.rng_for(cfg.seed, self.stream)
+                target = records[0] if len(records) == 1 else records
+                for trial in range(self.trials(cfg)):
+                    for rec in records:
+                        rec.instances += 1
+                    self.body(target, trial, rng, cfg.mode, *extra)
+        except Exception as exc:  # one broken check must not abort the run
+            _log.exception("check %s raised", self.records[0][0])
+            error = f"{type(exc).__name__}: {exc}"
+            for rec in records:
+                rec.failures.append({"instance": str(rec.instances - 1), "error": error})
+        return records
+
+
+_CHECKS: dict[str, list[_Check]] = {suite: [] for suite in SUITE_NAMES}
+
+
+def check(suite, stream, *records, trials=_every_trial, setup=None, when=_always):
+    """Register the decorated function as the next check of ``suite``.
+
+    ``records`` are the ``(name, tag)`` pairs the check reports on, and
+    ``stream`` labels its random stream.  The registry makes the records and
+    the stream, then calls ``body(rec, trial, rng, mode, *extra)`` once per
+    trial, counting one instance on every record first; a check with several
+    records gets the list in place of ``rec``.  ``trials(cfg)`` gives the
+    trial count.  With ``trials=None`` the body runs once as
+    ``body(rec, cfg, *extra)`` and counts its own instances.  ``extra`` is
+    ``(setup(cfg),)`` when ``setup`` is given, built once per run of the
+    check.  A check whose ``when(cfg)`` is false emits no records.
+    """
+
+    def register(body):
+        _CHECKS[suite].append(_Check(stream, records, body, trials, setup, when))
+        return body
+
+    return register
+
+
+# ---------------------------------------------------------------------------
 # metric suite
 
 
-def _check_axiom_detection(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("axiom-detection", "plumbing")
-    rng = generate.rng_for(cfg.seed, "metric:axiom-detection")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        space = generate.random_space(rng, rng.randint(2, 6), mode=mode)
-        n = len(space.points)
-        i, j = rng.sample(range(n), 2)
-        top = diameter(space)
-        breakers = {
-            "identity": lambda m: m[i].__setitem__(i, mode.one),
-            "symmetry": lambda m: m[i].__setitem__(j, m[i][j] + mode.one),
-            "positivity": lambda m: (m[i].__setitem__(j, mode.zero),
-                                     m[j].__setitem__(i, mode.zero)),
-            "triangle": lambda m: (m[i].__setitem__(j, 2 * top + mode.one),
-                                   m[j].__setitem__(i, 2 * top + mode.one)),
-        }
-        for axiom, breaker in breakers.items():
-            if axiom == "triangle" and n < 3:
-                continue
-            matrix = [list(row) for row in space.dist]
-            breaker(matrix)
-            try:
-                validate_space(space.points, matrix, mode)
-            except AxiomViolation as exc:
-                tags = {a for a, _ in exc.violations}
-                if axiom not in tags:
-                    rec.fail(trial, mutated=axiom, detected=sorted(tags))
-            else:
-                shrunk, found = shrink_matrix_violation(space.points, matrix, mode)
-                rec.fail(trial, mutated=axiom, detected="nothing",
-                         shrunk_points=list(shrunk), shrunk_axiom=found)
-    return rec
+@check("metric", "metric:axiom-detection", ("axiom-detection", "plumbing"))
+def _check_axiom_detection(rec, trial, rng, mode):
+    space = generate.random_space(rng, rng.randint(2, 6), mode=mode)
+    n = len(space.points)
+    i, j = rng.sample(range(n), 2)
+    top = diameter(space)
+    breakers = {
+        "identity": lambda m: m[i].__setitem__(i, mode.one),
+        "symmetry": lambda m: m[i].__setitem__(j, m[i][j] + mode.one),
+        "positivity": lambda m: (m[i].__setitem__(j, mode.zero),
+                                 m[j].__setitem__(i, mode.zero)),
+        "triangle": lambda m: (m[i].__setitem__(j, 2 * top + mode.one),
+                               m[j].__setitem__(i, 2 * top + mode.one)),
+    }
+    for axiom, breaker in breakers.items():
+        if axiom == "triangle" and n < 3:
+            continue
+        matrix = [list(row) for row in space.dist]
+        breaker(matrix)
+        try:
+            validate_space(space.points, matrix, mode)
+        except AxiomViolation as exc:
+            tags = {a for a, _ in exc.violations}
+            if axiom not in tags:
+                rec.fail(trial, mutated=axiom, detected=sorted(tags))
+        else:
+            shrunk, found = shrink_matrix_violation(space.points, matrix, mode)
+            rec.fail(trial, mutated=axiom, detected="nothing",
+                     shrunk_points=list(shrunk), shrunk_axiom=found)
 
 
 def _random_anchor(rng, mode: Mode, trial: int) -> FiniteMetricSpace | None:
@@ -298,500 +365,364 @@ def _random_anchor(rng, mode: Mode, trial: int) -> FiniteMetricSpace | None:
     return generate.normalize_diameter(raw, mode)
 
 
-def _check_glue_blocks(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("glue-restriction-and-cross", "(Λ4)")
-    rng = generate.rng_for(cfg.seed, "metric:glue-blocks")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        space = generate.random_space(rng, rng.randint(1, 5), mode=mode)
-        anchor = _random_anchor(rng, mode, trial)
-        glued = glue_space(space, anchor, mode)
-        anc = anchor if anchor is not None else default_anchor(mode)
-        n, m = len(space.points), len(anc.points)
-        cross = max(diameter(space), mode.one)
-        matrix = [list(row) for row in glued.dist]
-        if cfg.inject_glue_defect:
-            matrix[n][0] = matrix[0][n] = cross + mode.one
-        ok = True
-        witness = {}
-        for a in range(n):
-            for b in range(n):
-                if not mode.eq(matrix[a][b], space.dist[a][b]):
-                    ok, witness = False, {
-                        "block": "restriction",
-                        "pair": [glued.points[a], glued.points[b]],
-                        "expected": _fmt(space.dist[a][b]),
-                        "actual": _fmt(matrix[a][b]),
-                    }
-        for a in range(m):
-            for b in range(m):
-                if ok and not mode.eq(matrix[n + a][n + b], anc.dist[a][b]):
-                    ok, witness = False, {
-                        "block": "anchor",
-                        "pair": [glued.points[n + a], glued.points[n + b]],
-                        "expected": _fmt(anc.dist[a][b]),
-                        "actual": _fmt(matrix[n + a][n + b]),
-                    }
-        for a in range(n):
-            for b in range(m):
-                if ok and not (
-                    mode.eq(matrix[a][n + b], cross) and mode.eq(matrix[n + b][a], cross)
-                ):
-                    ok, witness = False, {
-                        "block": "cross",
-                        "pair": [glued.points[a], glued.points[n + b]],
-                        "expected": _fmt(cross),
-                        "actual": _fmt(matrix[a][n + b]),
-                    }
-        if not ok:
-            rec.fail(trial, **witness)
-    return rec
+@check("metric", "metric:glue-blocks", ("glue-restriction-and-cross", "(Λ4)"),
+       setup=lambda cfg: cfg.inject_glue_defect)
+def _check_glue_blocks(rec, trial, rng, mode, inject_defect):
+    space = generate.random_space(rng, rng.randint(1, 5), mode=mode)
+    anchor = _random_anchor(rng, mode, trial)
+    glued = glue_space(space, anchor, mode)
+    anc = anchor if anchor is not None else default_anchor(mode)
+    n, m = len(space.points), len(anc.points)
+    cross = max(diameter(space), mode.one)
+    matrix = [list(row) for row in glued.dist]
+    if inject_defect:
+        matrix[n][0] = matrix[0][n] = cross + mode.one
+    ok = True
+    witness = {}
+    for a in range(n):
+        for b in range(n):
+            if not mode.eq(matrix[a][b], space.dist[a][b]):
+                ok, witness = False, {
+                    "block": "restriction",
+                    "pair": [glued.points[a], glued.points[b]],
+                    "expected": _fmt(space.dist[a][b]),
+                    "actual": _fmt(matrix[a][b]),
+                }
+    for a in range(m):
+        for b in range(m):
+            if ok and not mode.eq(matrix[n + a][n + b], anc.dist[a][b]):
+                ok, witness = False, {
+                    "block": "anchor",
+                    "pair": [glued.points[n + a], glued.points[n + b]],
+                    "expected": _fmt(anc.dist[a][b]),
+                    "actual": _fmt(matrix[n + a][n + b]),
+                }
+    for a in range(n):
+        for b in range(m):
+            if ok and not (
+                mode.eq(matrix[a][n + b], cross) and mode.eq(matrix[n + b][a], cross)
+            ):
+                ok, witness = False, {
+                    "block": "cross",
+                    "pair": [glued.points[a], glued.points[n + b]],
+                    "expected": _fmt(cross),
+                    "actual": _fmt(matrix[a][n + b]),
+                }
+    if not ok:
+        rec.fail(trial, **witness)
 
 
-def _check_glue_diameter(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("glue-diameter", "(i)")
-    rng = generate.rng_for(cfg.seed, "metric:glue-diameter")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        space = generate.random_space(rng, rng.randint(1, 6), mode=mode)
-        glued = glue_space(space, _random_anchor(rng, mode, trial), mode)
-        expected = max(diameter(space), mode.one)
-        actual = diameter(glued)
-        if not mode.eq(actual, expected):
-            rec.fail(trial, expected=_fmt(expected), actual=_fmt(actual))
-    return rec
+@check("metric", "metric:glue-diameter", ("glue-diameter", "(i)"))
+def _check_glue_diameter(rec, trial, rng, mode):
+    space = generate.random_space(rng, rng.randint(1, 6), mode=mode)
+    glued = glue_space(space, _random_anchor(rng, mode, trial), mode)
+    expected = max(diameter(space), mode.one)
+    actual = diameter(glued)
+    if not mode.eq(actual, expected):
+        rec.fail(trial, expected=_fmt(expected), actual=_fmt(actual))
 
 
-def _check_glue_functor_laws(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("glue-functor-laws", "(Λ1)")
-    rng = generate.rng_for(cfg.seed, "metric:glue-functor-laws")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
-        c = generate.random_space(rng, rng.randint(1, 4), prefix="c", mode=mode)
-        f = generate.random_map(rng, a, b)
-        g = generate.random_map(rng, b, c)
-        if glue_map(identity_map(a), None, mode) != identity_map(glue_space(a, None, mode)):
-            rec.fail(trial, law="identity", space=list(a.points))
-            continue
-        lhs = glue_map(compose(g, f), None, mode)
-        rhs = compose(glue_map(g, None, mode), glue_map(f, None, mode))
-        if lhs != rhs:
-            rec.fail(trial, law="composition", domain=list(a.points))
-    return rec
+@check("metric", "metric:glue-functor-laws", ("glue-functor-laws", "(Λ1)"))
+def _check_glue_functor_laws(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
+    c = generate.random_space(rng, rng.randint(1, 4), prefix="c", mode=mode)
+    f = generate.random_map(rng, a, b)
+    g = generate.random_map(rng, b, c)
+    if glue_map(identity_map(a), None, mode) != identity_map(glue_space(a, None, mode)):
+        rec.fail(trial, law="identity", space=list(a.points))
+        return
+    lhs = glue_map(compose(g, f), None, mode)
+    rhs = compose(glue_map(g, None, mode), glue_map(f, None, mode))
+    if lhs != rhs:
+        rec.fail(trial, law="composition", domain=list(a.points))
 
 
-def _check_glue_naturality(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("glue-embedding-naturality", "(Λ3)")
-    rng = generate.rng_for(cfg.seed, "metric:glue-naturality")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
-        f = generate.random_map(rng, a, b)
-        gf = glue_map(f, None, mode)
-        for p in a.points:
-            if gf(p) != f(p):
-                rec.fail(trial, point=p, expected=f(p), actual=gf(p))
-                break
-        dom_extra = gf.domain.points[len(a.points):]
-        cod_extra = gf.codomain.points[len(b.points):]
-        for x, y in zip(dom_extra, cod_extra):
-            if gf(x) != y:
-                rec.fail(trial, anchor_point=x, expected=y, actual=gf(x))
-                break
-    return rec
+@check("metric", "metric:glue-naturality", ("glue-embedding-naturality", "(Λ3)"))
+def _check_glue_naturality(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
+    f = generate.random_map(rng, a, b)
+    gf = glue_map(f, None, mode)
+    for p in a.points:
+        if gf(p) != f(p):
+            rec.fail(trial, point=p, expected=f(p), actual=gf(p))
+            break
+    dom_extra = gf.domain.points[len(a.points):]
+    cod_extra = gf.codomain.points[len(b.points):]
+    for x, y in zip(dom_extra, cod_extra):
+        if gf(x) != y:
+            rec.fail(trial, anchor_point=x, expected=y, actual=gf(x))
+            break
 
 
-def _check_sup_metric_axioms(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("sup-metric-axioms", "plumbing")
-    rng = generate.rng_for(cfg.seed, "metric:sup-axioms")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        dom = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-        cod = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
-        f = generate.random_map(rng, dom, cod)
-        g = generate.random_map(rng, dom, cod)
-        h = generate.random_map(rng, dom, cod)
-        if not mode.is_zero(sup_distance(f, f)):
-            rec.fail(trial, law="identity")
-            continue
-        if f != g and not mode.positive(sup_distance(f, g)):
-            rec.fail(trial, law="positivity")
-            continue
-        if not mode.eq(sup_distance(f, g), sup_distance(g, f)):
-            rec.fail(trial, law="symmetry")
-            continue
-        if not mode.leq(sup_distance(f, h), sup_distance(f, g) + sup_distance(g, h)):
-            rec.fail(trial, law="triangle")
-    return rec
+@check("metric", "metric:sup-axioms", ("sup-metric-axioms", "plumbing"))
+def _check_sup_metric_axioms(rec, trial, rng, mode):
+    dom = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
+    cod = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
+    f = generate.random_map(rng, dom, cod)
+    g = generate.random_map(rng, dom, cod)
+    h = generate.random_map(rng, dom, cod)
+    if not mode.is_zero(sup_distance(f, f)):
+        rec.fail(trial, law="identity")
+        return
+    if f != g and not mode.positive(sup_distance(f, g)):
+        rec.fail(trial, law="positivity")
+        return
+    if not mode.eq(sup_distance(f, g), sup_distance(g, f)):
+        rec.fail(trial, law="symmetry")
+        return
+    if not mode.leq(sup_distance(f, h), sup_distance(f, g) + sup_distance(g, h)):
+        rec.fail(trial, law="triangle")
 
 
-def _check_glue_sup_isometry(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("glue-sup-isometry", "(Λ5)")
-    rng = generate.rng_for(cfg.seed, "metric:glue-sup-isometry")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(2, 5), prefix="b", mode=mode)
-        f = generate.random_map(rng, a, b)
-        g = generate.random_map(rng, a, b)
-        plain = sup_distance(f, g)
-        glued = sup_distance(glue_map(f, None, mode), glue_map(g, None, mode))
-        if not mode.eq(plain, glued):
-            rec.fail(trial, plain=_fmt(plain), glued=_fmt(glued))
-    return rec
-
-
-def metric_suite(cfg: RunConfig) -> list[CheckRecord]:
-    return [
-        _check_axiom_detection(cfg),
-        _check_glue_blocks(cfg),
-        _check_glue_diameter(cfg),
-        _check_glue_functor_laws(cfg),
-        _check_glue_naturality(cfg),
-        _check_sup_metric_axioms(cfg),
-        _check_glue_sup_isometry(cfg),
-    ]
+@check("metric", "metric:glue-sup-isometry", ("glue-sup-isometry", "(Λ5)"))
+def _check_glue_sup_isometry(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(2, 5), prefix="b", mode=mode)
+    f = generate.random_map(rng, a, b)
+    g = generate.random_map(rng, a, b)
+    plain = sup_distance(f, g)
+    glued = sup_distance(glue_map(f, None, mode), glue_map(g, None, mode))
+    if not mode.eq(plain, glued):
+        rec.fail(trial, plain=_fmt(plain), glued=_fmt(glued))
 
 
 # ---------------------------------------------------------------------------
 # measure suite
 
 
-def _check_mass_conservation(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("mass-conservation", "plumbing")
-    rng = generate.rng_for(cfg.seed, "measure:mass")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
-        f = generate.random_map(rng, a, b)
-        mu = generate.random_measure(rng, a, mode)
-        nu = pushforward(f, mu, mode)
-        total = sum((w for _, w in nu.weights), mode.zero)
-        if not mode.eq(total, mode.one):
-            rec.fail(trial, total=_fmt(total))
-        if not set(nu.support()) <= set(image(f)):
-            rec.fail(trial, stray=sorted(set(nu.support()) - set(image(f))))
-    return rec
+@check("measure", "measure:mass", ("mass-conservation", "plumbing"))
+def _check_mass_conservation(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
+    f = generate.random_map(rng, a, b)
+    mu = generate.random_measure(rng, a, mode)
+    nu = pushforward(f, mu, mode)
+    total = sum((w for _, w in nu.weights), mode.zero)
+    if not mode.eq(total, mode.one):
+        rec.fail(trial, total=_fmt(total))
+    if not set(nu.support()) <= set(image(f)):
+        rec.fail(trial, stray=sorted(set(nu.support()) - set(image(f))))
 
 
-def _check_push_functor_laws(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("pushforward-functor-laws", "(Λ1)")
-    rng = generate.rng_for(cfg.seed, "measure:functor-laws")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
-        c = generate.random_space(rng, rng.randint(1, 4), prefix="c", mode=mode)
-        f = generate.random_map(rng, a, b)
-        g = generate.random_map(rng, b, c)
-        mu = generate.random_measure(rng, a, mode)
-        if not measures_equal(pushforward(identity_map(a), mu, mode), mu, mode):
-            rec.fail(trial, law="identity")
-            continue
-        lhs = pushforward(compose(g, f), mu, mode)
-        rhs = pushforward(g, pushforward(f, mu, mode), mode)
-        if not measures_equal(lhs, rhs, mode):
-            rec.fail(trial, law="composition")
-    return rec
+@check("measure", "measure:functor-laws", ("pushforward-functor-laws", "(Λ1)"))
+def _check_push_functor_laws(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
+    c = generate.random_space(rng, rng.randint(1, 4), prefix="c", mode=mode)
+    f = generate.random_map(rng, a, b)
+    g = generate.random_map(rng, b, c)
+    mu = generate.random_measure(rng, a, mode)
+    if not measures_equal(pushforward(identity_map(a), mu, mode), mu, mode):
+        rec.fail(trial, law="identity")
+        return
+    lhs = pushforward(compose(g, f), mu, mode)
+    rhs = pushforward(g, pushforward(f, mu, mode), mode)
+    if not measures_equal(lhs, rhs, mode):
+        rec.fail(trial, law="composition")
 
 
-def _check_dirac_naturality(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("dirac-naturality", "(Λ3)")
-    rng = generate.rng_for(cfg.seed, "measure:dirac-naturality")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
-        f = generate.random_map(rng, a, b)
-        for p in a.points:
-            if not measures_equal(
-                pushforward(f, dirac(a, p, mode), mode), dirac(b, f(p), mode), mode
-            ):
-                rec.fail(trial, point=p)
-                break
-    return rec
-
-
-def _check_affinity(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("pushforward-affinity", "plumbing")
-    rng = generate.rng_for(cfg.seed, "measure:affinity")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
-        f = generate.random_map(rng, a, b)
-        mu = generate.random_measure(rng, a, mode)
-        nu = generate.random_measure(rng, a, mode)
-        t = Fraction(rng.randint(0, 10), 10)
-        lhs = pushforward(f, convex_combination(t, mu, nu, mode), mode)
-        rhs = convex_combination(
-            t, pushforward(f, mu, mode), pushforward(f, nu, mode), mode
-        )
-        if not measures_equal(lhs, rhs, mode):
-            rec.fail(trial, coefficient=_fmt(mode.convert(t)))
-    return rec
-
-
-def _check_change_of_variables(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("change-of-variables", "plumbing")
-    rng = generate.rng_for(cfg.seed, "measure:change-of-variables")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
-        f = generate.random_map(rng, a, b)
-        mu = generate.random_measure(rng, a, mode)
-        g = {
-            q: mode.convert(Fraction(rng.randint(-20, 20), rng.randint(1, 5)))
-            for q in b.points
-        }
-        lhs, rhs = change_of_variables_check(f, mu, g, mode)
-        if not mode.eq(lhs, rhs):
-            rec.fail(trial, lhs=_fmt(lhs), rhs=_fmt(rhs))
-    return rec
-
-
-def _check_image_characterization(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("image-characterization", "(d)")
-    rng = generate.rng_for(cfg.seed, "measure:image")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
-        f = generate.random_map(rng, a, b)
-        if trial % 2 == 0:
-            nu = pushforward(f, generate.random_measure(rng, a, mode), mode)
-        else:
-            nu = generate.random_measure(rng, b, mode)
-        witness = preimage_measure(f, nu, mode)
-        claimed = in_image(f, nu, mode)
-        if claimed != (witness is not None):
-            rec.fail(trial, in_image=claimed, witness_found=witness is not None)
-            continue
-        if witness is not None and not measures_equal(
-            pushforward(f, witness, mode), nu, mode
+@check("measure", "measure:dirac-naturality", ("dirac-naturality", "(Λ3)"))
+def _check_dirac_naturality(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
+    f = generate.random_map(rng, a, b)
+    for p in a.points:
+        if not measures_equal(
+            pushforward(f, dirac(a, p, mode), mode), dirac(b, f(p), mode), mode
         ):
-            rec.fail(trial, round_trip="pushforward of witness differs")
-    return rec
+            rec.fail(trial, point=p)
+            break
 
 
-def _check_injectivity_transfer(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("injectivity-transfer", "(c)")
-    rng = generate.rng_for(cfg.seed, "measure:injectivity")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
-        f = generate.random_map(rng, a, b)
-        if not injectivity_transfer_check(f, mode):
-            rec.fail(trial, map=f.as_dict())
-    return rec
+@check("measure", "measure:affinity", ("pushforward-affinity", "plumbing"))
+def _check_affinity(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
+    f = generate.random_map(rng, a, b)
+    mu = generate.random_measure(rng, a, mode)
+    nu = generate.random_measure(rng, a, mode)
+    t = Fraction(rng.randint(0, 10), 10)
+    lhs = pushforward(f, convex_combination(t, mu, nu, mode), mode)
+    rhs = convex_combination(
+        t, pushforward(f, mu, mode), pushforward(f, nu, mode), mode
+    )
+    if not measures_equal(lhs, rhs, mode):
+        rec.fail(trial, coefficient=_fmt(mode.convert(t)))
 
 
-def _check_surjectivity_transfer(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("surjectivity-transfer", "(e)")
-    rng = generate.rng_for(cfg.seed, "measure:surjectivity")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
-        f = generate.random_map(rng, a, b)
-        surjective = is_surjective(f)
-        dirac_hits = all(in_image(f, dirac(b, q, mode), mode) for q in b.points)
-        if surjective != dirac_hits:
-            rec.fail(trial, surjective=surjective, every_dirac_hit=dirac_hits)
-    return rec
+@check("measure", "measure:change-of-variables", ("change-of-variables", "plumbing"))
+def _check_change_of_variables(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
+    f = generate.random_map(rng, a, b)
+    mu = generate.random_measure(rng, a, mode)
+    g = {
+        q: mode.convert(Fraction(rng.randint(-20, 20), rng.randint(1, 5)))
+        for q in b.points
+    }
+    lhs, rhs = change_of_variables_check(f, mu, g, mode)
+    if not mode.eq(lhs, rhs):
+        rec.fail(trial, lhs=_fmt(lhs), rhs=_fmt(rhs))
 
 
-def measure_suite(cfg: RunConfig) -> list[CheckRecord]:
-    return [
-        _check_mass_conservation(cfg),
-        _check_push_functor_laws(cfg),
-        _check_dirac_naturality(cfg),
-        _check_affinity(cfg),
-        _check_change_of_variables(cfg),
-        _check_image_characterization(cfg),
-        _check_injectivity_transfer(cfg),
-        _check_surjectivity_transfer(cfg),
-    ]
+@check("measure", "measure:image", ("image-characterization", "(d)"))
+def _check_image_characterization(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
+    f = generate.random_map(rng, a, b)
+    if trial % 2 == 0:
+        nu = pushforward(f, generate.random_measure(rng, a, mode), mode)
+    else:
+        nu = generate.random_measure(rng, b, mode)
+    witness = preimage_measure(f, nu, mode)
+    claimed = in_image(f, nu, mode)
+    if claimed != (witness is not None):
+        rec.fail(trial, in_image=claimed, witness_found=witness is not None)
+        return
+    if witness is not None and not measures_equal(
+        pushforward(f, witness, mode), nu, mode
+    ):
+        rec.fail(trial, round_trip="pushforward of witness differs")
+
+
+@check("measure", "measure:injectivity", ("injectivity-transfer", "(c)"))
+def _check_injectivity_transfer(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
+    f = generate.random_map(rng, a, b)
+    if not injectivity_transfer_check(f, mode):
+        rec.fail(trial, map=f.as_dict())
+
+
+@check("measure", "measure:surjectivity", ("surjectivity-transfer", "(e)"))
+def _check_surjectivity_transfer(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
+    f = generate.random_map(rng, a, b)
+    surjective = is_surjective(f)
+    dirac_hits = all(in_image(f, dirac(b, q, mode), mode) for q in b.points)
+    if surjective != dirac_hits:
+        rec.fail(trial, surjective=surjective, every_dirac_hit=dirac_hits)
 
 
 # ---------------------------------------------------------------------------
 # kantorovich suite
 
 
-def _check_duality_gap(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("duality-gap", "plumbing")
-    rng = generate.rng_for(cfg.seed, "kantorovich:duality")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        size = 2 + trial % 7
-        space = generate.random_space(rng, size, mode=mode)
-        mu = generate.random_measure(rng, space, mode)
-        nu = generate.random_measure(rng, space, mode)
-        dual, potential = kantorovich_dual(mu, nu, mode)
-        primal, plan = kantorovich_primal(mu, nu, mode)
-        if not mode.eq(primal - dual, mode.zero):
-            rec.fail(trial, gap=_fmt(primal - dual), size=str(size))
-            continue
-        if not mode.eq(potential_gap(potential, mu, nu), dual):
-            rec.fail(trial, certificate="potential does not attain the optimum")
-            continue
-        if not mode.eq(plan.cost(), primal):
-            rec.fail(trial, certificate="plan cost differs from the optimum")
-    return rec
+@check("kantorovich", "kantorovich:duality", ("duality-gap", "plumbing"))
+def _check_duality_gap(rec, trial, rng, mode):
+    size = 2 + trial % 7
+    space = generate.random_space(rng, size, mode=mode)
+    mu = generate.random_measure(rng, space, mode)
+    nu = generate.random_measure(rng, space, mode)
+    dual, potential = kantorovich_dual(mu, nu, mode)
+    primal, plan = kantorovich_primal(mu, nu, mode)
+    if not mode.eq(primal - dual, mode.zero):
+        rec.fail(trial, gap=_fmt(primal - dual), size=str(size))
+        return
+    if not mode.eq(potential_gap(potential, mu, nu), dual):
+        rec.fail(trial, certificate="potential does not attain the optimum")
+        return
+    if not mode.eq(plan.cost(), primal):
+        rec.fail(trial, certificate="plan cost differs from the optimum")
 
 
-def _check_dirac_isometry(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("dirac-isometry", "(Λ4)")
-    rng = generate.rng_for(cfg.seed, "kantorovich:dirac-isometry")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        space = generate.random_space(rng, rng.randint(2, 6), mode=mode)
-        p, q = rng.sample(space.points, 2)
-        value = kantorovich(dirac(space, p, mode), dirac(space, q, mode), mode)
-        if not mode.eq(value, space.distance(p, q)):
-            rec.fail(trial, pair=[p, q], kantorovich=_fmt(value),
-                     distance=_fmt(space.distance(p, q)))
-    return rec
+@check("kantorovich", "kantorovich:dirac-isometry", ("dirac-isometry", "(Λ4)"))
+def _check_dirac_isometry(rec, trial, rng, mode):
+    space = generate.random_space(rng, rng.randint(2, 6), mode=mode)
+    p, q = rng.sample(space.points, 2)
+    value = kantorovich(dirac(space, p, mode), dirac(space, q, mode), mode)
+    if not mode.eq(value, space.distance(p, q)):
+        rec.fail(trial, pair=[p, q], kantorovich=_fmt(value),
+                 distance=_fmt(space.distance(p, q)))
 
 
-def _check_diameter_preservation(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("diameter-preservation", "(i)")
-    rng = generate.rng_for(cfg.seed, "kantorovich:diameter")
-    mode = cfg.mode
-    for trial in range(max(1, cfg.trials // 2)):
-        rec.instances += 1
-        space = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-        dirac_max, diam = measure_diameter_check(space, mode)
-        if not mode.eq(dirac_max, diam):
-            rec.fail(trial, dirac_max=_fmt(dirac_max), diameter=_fmt(diam))
-            continue
-        mu = generate.random_measure(rng, space, mode)
-        nu = generate.random_measure(rng, space, mode)
-        value = kantorovich(mu, nu, mode)
-        if not mode.leq(value, diam):
-            rec.fail(trial, sampled=_fmt(value), diameter=_fmt(diam))
-    return rec
+@check("kantorovich", "kantorovich:diameter", ("diameter-preservation", "(i)"),
+       trials=_half_trials)
+def _check_diameter_preservation(rec, trial, rng, mode):
+    space = generate.random_space(rng, rng.randint(2, 5), mode=mode)
+    dirac_max, diam = measure_diameter_check(space, mode)
+    if not mode.eq(dirac_max, diam):
+        rec.fail(trial, dirac_max=_fmt(dirac_max), diameter=_fmt(diam))
+        return
+    mu = generate.random_measure(rng, space, mode)
+    nu = generate.random_measure(rng, space, mode)
+    value = kantorovich(mu, nu, mode)
+    if not mode.leq(value, diam):
+        rec.fail(trial, sampled=_fmt(value), diameter=_fmt(diam))
 
 
-def _check_map_isometry(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("map-pushforward-isometry", "(Λ5)")
-    rng = generate.rng_for(cfg.seed, "kantorovich:map-isometry")
-    mode = cfg.mode
-    for trial in range(max(1, cfg.trials // 2)):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
-        phi = generate.random_map(rng, a, b)
-        psi = generate.random_map(rng, a, b)
-        sampled = [generate.random_measure(rng, a, mode) for _ in range(2)]
-        dirac_max, bound = map_isometry_check(phi, psi, sampled, mode)
-        if not mode.eq(dirac_max, bound):
-            rec.fail(trial, dirac_max=_fmt(dirac_max), sup_distance=_fmt(bound))
-    return rec
+@check("kantorovich", "kantorovich:map-isometry", ("map-pushforward-isometry", "(Λ5)"),
+       trials=_half_trials)
+def _check_map_isometry(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
+    phi = generate.random_map(rng, a, b)
+    psi = generate.random_map(rng, a, b)
+    sampled = [generate.random_measure(rng, a, mode) for _ in range(2)]
+    dirac_max, bound = map_isometry_check(phi, psi, sampled, mode)
+    if not mode.eq(dirac_max, bound):
+        rec.fail(trial, dirac_max=_fmt(dirac_max), sup_distance=_fmt(bound))
 
 
-def _check_kantorovich_axioms(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("kantorovich-metric-axioms", "plumbing")
-    rng = generate.rng_for(cfg.seed, "kantorovich:axioms")
-    mode = cfg.mode
-    for trial in range(max(1, cfg.trials // 2)):
-        rec.instances += 1
-        space = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-        mu = generate.random_measure(rng, space, mode)
-        nu = generate.random_measure(rng, space, mode)
-        lam = generate.random_measure(rng, space, mode)
-        if not mode.is_zero(kantorovich(mu, mu, mode)):
-            rec.fail(trial, law="identity")
-            continue
-        if mode.is_exact and mu != nu and not kantorovich(mu, nu, mode) > 0:
-            rec.fail(trial, law="positivity")
-            continue
-        if not mode.eq(kantorovich(mu, nu, mode), kantorovich(nu, mu, mode)):
-            rec.fail(trial, law="symmetry")
-            continue
-        if not mode.leq(
-            kantorovich(mu, lam, mode),
-            kantorovich(mu, nu, mode) + kantorovich(nu, lam, mode),
-        ):
-            rec.fail(trial, law="triangle")
-    return rec
+@check("kantorovich", "kantorovich:axioms", ("kantorovich-metric-axioms", "plumbing"),
+       trials=_half_trials)
+def _check_kantorovich_axioms(rec, trial, rng, mode):
+    space = generate.random_space(rng, rng.randint(2, 5), mode=mode)
+    mu = generate.random_measure(rng, space, mode)
+    nu = generate.random_measure(rng, space, mode)
+    lam = generate.random_measure(rng, space, mode)
+    if not mode.is_zero(kantorovich(mu, mu, mode)):
+        rec.fail(trial, law="identity")
+        return
+    if mode.is_exact and mu != nu and not kantorovich(mu, nu, mode) > 0:
+        rec.fail(trial, law="positivity")
+        return
+    if not mode.eq(kantorovich(mu, nu, mode), kantorovich(nu, mu, mode)):
+        rec.fail(trial, law="symmetry")
+        return
+    if not mode.leq(
+        kantorovich(mu, lam, mode),
+        kantorovich(mu, nu, mode) + kantorovich(nu, lam, mode),
+    ):
+        rec.fail(trial, law="triangle")
 
 
-def _check_certificates(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("certificate-feasibility", "plumbing")
-    rng = generate.rng_for(cfg.seed, "kantorovich:certificates")
-    mode = cfg.mode
-    for trial in range(max(1, cfg.trials // 2)):
-        rec.instances += 1
-        space = generate.random_space(rng, rng.randint(2, 6), mode=mode)
-        mu = generate.random_measure(rng, space, mode)
-        nu = generate.random_measure(rng, space, mode)
-        _, potential = kantorovich_dual(mu, nu, mode)
-        _, plan = kantorovich_primal(mu, nu, mode)
-        try:
-            lipschitz_potential(space, potential.as_dict(), mode)
-            transport_plan(mu, nu, plan.matrix, mode)
-        except ZfunError as exc:
-            rec.fail(trial, rejected=str(exc))
-            continue
-        base = space.points[0]
-        if not mode.is_zero(potential.as_dict()[base]):
-            rec.fail(trial, normalization="potential does not vanish at the base point")
-    return rec
+@check("kantorovich", "kantorovich:certificates", ("certificate-feasibility", "plumbing"),
+       trials=_half_trials)
+def _check_certificates(rec, trial, rng, mode):
+    space = generate.random_space(rng, rng.randint(2, 6), mode=mode)
+    mu = generate.random_measure(rng, space, mode)
+    nu = generate.random_measure(rng, space, mode)
+    _, potential = kantorovich_dual(mu, nu, mode)
+    _, plan = kantorovich_primal(mu, nu, mode)
+    try:
+        lipschitz_potential(space, potential.as_dict(), mode)
+        transport_plan(mu, nu, plan.matrix, mode)
+    except ZfunError as exc:
+        rec.fail(trial, rejected=str(exc))
+        return
+    base = space.points[0]
+    if not mode.is_zero(potential.as_dict()[base]):
+        rec.fail(trial, normalization="potential does not vanish at the base point")
 
 
-def _check_convergence_bound(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("pointwise-convergence-bound", "(h)")
-    rng = generate.rng_for(cfg.seed, "kantorovich:convergence")
-    mode = cfg.mode
-    for trial in range(max(1, cfg.trials // 2)):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
-        phi = generate.random_map(rng, a, b)
-        psi = generate.random_map(rng, a, b)
-        bound = mode.convert(sup_distance(phi, psi))
-        mu = generate.random_measure(rng, a, mode)
-        value = kantorovich(
-            pushforward(phi, mu, mode), pushforward(psi, mu, mode), mode
-        )
-        if not mode.leq(value, bound):
-            rec.fail(trial, pushed=_fmt(value), bound=_fmt(bound))
-    return rec
-
-
-def kantorovich_suite(cfg: RunConfig) -> list[CheckRecord]:
-    return [
-        _check_duality_gap(cfg),
-        _check_dirac_isometry(cfg),
-        _check_diameter_preservation(cfg),
-        _check_map_isometry(cfg),
-        _check_kantorovich_axioms(cfg),
-        _check_certificates(cfg),
-        _check_convergence_bound(cfg),
-    ]
+@check("kantorovich", "kantorovich:convergence", ("pointwise-convergence-bound", "(h)"),
+       trials=_half_trials)
+def _check_convergence_bound(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
+    phi = generate.random_map(rng, a, b)
+    psi = generate.random_map(rng, a, b)
+    bound = mode.convert(sup_distance(phi, psi))
+    mu = generate.random_measure(rng, a, mode)
+    value = kantorovich(
+        pushforward(phi, mu, mode), pushforward(psi, mu, mode), mode
+    )
+    if not mode.leq(value, bound):
+        rec.fail(trial, pushed=_fmt(value), bound=_fmt(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -802,19 +733,24 @@ def _fixture(cfg: RunConfig, h_seed: int | None = None):
     return build_finite_fixture(cfg.n, cfg.k, cfg.seed, cfg.mode, h_seed=h_seed)
 
 
-def _family_maps(ctx, rng, count):
-    """Random maps between random family members."""
-    out = []
-    for _ in range(count):
-        dom = member_space(ctx, rng.choice(ctx.family))
-        cod = member_space(ctx, rng.choice(ctx.family))
-        out.append(generate.random_map(rng, dom, cod))
-    return out
+def _wide_pad(cfg: RunConfig) -> bool:
+    """Whether the fixture's pad, which has n - k points, has at least two."""
+    return cfg.n - cfg.k >= 2
 
 
-def _check_fixture_shape(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("fixture-shape", "(Λ2)")
-    ctx = _fixture(cfg)
+def _padded_trials(cfg: RunConfig) -> int:
+    return _half_trials(cfg) if _wide_pad(cfg) else 0
+
+
+def _family_map(ctx, rng):
+    """A random map between random family members."""
+    dom = member_space(ctx, rng.choice(ctx.family))
+    cod = member_space(ctx, rng.choice(ctx.family))
+    return generate.random_map(rng, dom, cod)
+
+
+@check("scheme", None, ("fixture-shape", "(Λ2)"), trials=None, setup=_fixture)
+def _check_fixture_shape(rec, cfg, ctx):
     rec.instances += 1
     if len(ctx.family) != math.comb(cfg.n, cfg.k):
         rec.fail(0, family_size=str(len(ctx.family)))
@@ -832,179 +768,144 @@ def _check_fixture_shape(cfg: RunConfig) -> CheckRecord:
         if {chart[x] for x in member} != set(member):
             rec.fail(0, member=list(member), chart="member not carried onto itself")
             break
-    return rec
 
 
-def _check_extension_restricts(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("extension-restricts", "(b)")
-    ctx = _fixture(cfg)
-    rng = generate.rng_for(cfg.seed, "scheme:restricts")
-    mode = cfg.mode
-    for trial, phi in enumerate(_family_maps(ctx, rng, cfg.trials)):
-        rec.instances += 1
-        result = extend_map(ctx, phi)
-        for x in phi.domain.points:
-            if result.extension(x) != phi(x):
-                rec.fail(trial, point=x, original=phi(x), extended=result.extension(x))
-                break
-    return rec
+@check("scheme", "scheme:restricts", ("extension-restricts", "(b)"), setup=_fixture)
+def _check_extension_restricts(rec, trial, rng, mode, ctx):
+    phi = _family_map(ctx, rng)
+    result = extend_map(ctx, phi)
+    for x in phi.domain.points:
+        if result.extension(x) != phi(x):
+            rec.fail(trial, point=x, original=phi(x), extended=result.extension(x))
+            break
 
 
-def _check_extension_functor_laws(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("extension-functor-laws", "(a)")
-    ctx = _fixture(cfg)
-    rng = generate.rng_for(cfg.seed, "scheme:functor-laws")
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        k_sp = member_space(ctx, rng.choice(ctx.family))
-        l_sp = member_space(ctx, rng.choice(ctx.family))
-        m_sp = member_space(ctx, rng.choice(ctx.family))
-        phi = generate.random_map(rng, k_sp, l_sp)
-        psi = generate.random_map(rng, l_sp, m_sp)
-        if extend_map(ctx, identity_map(k_sp)).extension != identity_map(ctx.ambient):
-            rec.fail(trial, law="identity", member=list(k_sp.points))
-            continue
-        lhs = extend_map(ctx, compose(psi, phi)).extension
-        rhs = compose(extend_map(ctx, psi).extension, extend_map(ctx, phi).extension)
-        if lhs != rhs:
-            rec.fail(trial, law="composition", domain=list(k_sp.points))
-    return rec
+@check("scheme", "scheme:functor-laws", ("extension-functor-laws", "(a)"), setup=_fixture)
+def _check_extension_functor_laws(rec, trial, rng, mode, ctx):
+    k_sp = member_space(ctx, rng.choice(ctx.family))
+    l_sp = member_space(ctx, rng.choice(ctx.family))
+    m_sp = member_space(ctx, rng.choice(ctx.family))
+    phi = generate.random_map(rng, k_sp, l_sp)
+    psi = generate.random_map(rng, l_sp, m_sp)
+    if extend_map(ctx, identity_map(k_sp)).extension != identity_map(ctx.ambient):
+        rec.fail(trial, law="identity", member=list(k_sp.points))
+        return
+    lhs = extend_map(ctx, compose(psi, phi)).extension
+    rhs = compose(extend_map(ctx, psi).extension, extend_map(ctx, phi).extension)
+    if lhs != rhs:
+        rec.fail(trial, law="composition", domain=list(k_sp.points))
 
 
-def _check_scheme_transfers(cfg: RunConfig) -> list[CheckRecord]:
-    inj = CheckRecord("extension-injectivity-transfer", "(c)")
-    img = CheckRecord("extension-image", "(d)")
-    surj = CheckRecord("extension-surjectivity-transfer", "(e)")
-    ctx = _fixture(cfg)
-    rng = generate.rng_for(cfg.seed, "scheme:transfers")
-    for trial, phi in enumerate(_family_maps(ctx, rng, cfg.trials)):
-        inj.instances += 1
-        img.instances += 1
-        surj.instances += 1
-        hat = extend_map(ctx, phi).extension
-        if is_injective(hat) != is_injective(phi):
-            inj.fail(trial, original=is_injective(phi), extension=is_injective(hat))
-        cod = set(phi.codomain.points)
-        hat_image = set(image(hat))
-        expected = set(image(phi)) | (set(ctx.ambient.points) - cod)
-        if hat_image != expected:
-            img.fail(trial, image=sorted(hat_image), expected=sorted(expected))
-        if (hat_image & cod) != set(image(phi)):
-            img.fail(trial, trace=sorted(hat_image & cod), expected=sorted(image(phi)))
-        if is_surjective(hat) != is_surjective(phi):
-            surj.fail(trial, original=is_surjective(phi), extension=is_surjective(hat))
-    return [inj, img, surj]
+@check("scheme", "scheme:transfers",
+       ("extension-injectivity-transfer", "(c)"),
+       ("extension-image", "(d)"),
+       ("extension-surjectivity-transfer", "(e)"),
+       setup=_fixture)
+def _check_scheme_transfers(records, trial, rng, mode, ctx):
+    inj, img, surj = records
+    phi = _family_map(ctx, rng)
+    hat = extend_map(ctx, phi).extension
+    if is_injective(hat) != is_injective(phi):
+        inj.fail(trial, original=is_injective(phi), extension=is_injective(hat))
+    cod = set(phi.codomain.points)
+    hat_image = set(image(hat))
+    expected = set(image(phi)) | (set(ctx.ambient.points) - cod)
+    if hat_image != expected:
+        img.fail(trial, image=sorted(hat_image), expected=sorted(expected))
+    if (hat_image & cod) != set(image(phi)):
+        img.fail(trial, trace=sorted(hat_image & cod), expected=sorted(image(phi)))
+    if is_surjective(hat) != is_surjective(phi):
+        surj.fail(trial, original=is_surjective(phi), extension=is_surjective(hat))
 
 
-def _check_metric_extension(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("metric-extension", "(i)")
-    ctx = _fixture(cfg)
-    rng = generate.rng_for(cfg.seed, "scheme:metric-extension")
-    mode = cfg.mode
-    for trial in range(max(1, cfg.trials // 2)):
-        rec.instances += 1
-        member = rng.choice(ctx.family)
-        d = generate.random_space(rng, len(member), labels=member, mode=mode)
-        extended = extend_metric(ctx, member, d)
-        ok = True
-        for x in member:
-            for y in member:
-                if not mode.eq(extended.distance(x, y), d.distance(x, y)):
-                    rec.fail(trial, pair=[x, y],
-                             expected=_fmt(d.distance(x, y)),
-                             actual=_fmt(extended.distance(x, y)))
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            expected_diam = max(diameter(d), mode.one)
-            if not mode.eq(diameter(extended), expected_diam):
-                rec.fail(trial, diameter=_fmt(diameter(extended)),
-                         expected=_fmt(expected_diam))
-    return rec
+@check("scheme", "scheme:metric-extension", ("metric-extension", "(i)"),
+       trials=_half_trials, setup=_fixture, when=_wide_pad)
+def _check_metric_extension(rec, trial, rng, mode, ctx):
+    member = rng.choice(ctx.family)
+    d = generate.random_space(rng, len(member), labels=member, mode=mode)
+    extended = extend_metric(ctx, member, d)
+    for x in member:
+        for y in member:
+            if not mode.eq(extended.distance(x, y), d.distance(x, y)):
+                rec.fail(trial, pair=[x, y],
+                         expected=_fmt(d.distance(x, y)),
+                         actual=_fmt(extended.distance(x, y)))
+                return
+    expected_diam = max(diameter(d), mode.one)
+    if not mode.eq(diameter(extended), expected_diam):
+        rec.fail(trial, diameter=_fmt(diameter(extended)),
+                 expected=_fmt(expected_diam))
 
 
-def _check_extension_isometry(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("extension-isometry", "(i)")
-    ctx = _fixture(cfg)
-    rng = generate.rng_for(cfg.seed, "scheme:extension-isometry")
-    mode = cfg.mode
-    for trial in range(max(1, cfg.trials // 2)):
-        rec.instances += 1
-        dom_member = rng.choice(ctx.family)
-        cod_member = rng.choice(ctx.family)
-        dom = member_space(ctx, dom_member)
-        cod = member_space(ctx, cod_member)
-        d = generate.random_space(rng, len(cod_member), labels=cod_member, mode=mode)
-        pairs = [
-            (generate.random_map(rng, dom, cod), generate.random_map(rng, dom, cod))
-            for _ in range(2)
-        ]
-        for lhs, rhs in extension_isometry_check(ctx, dom_member, cod_member, d, pairs):
-            if not mode.eq(lhs, rhs):
-                rec.fail(trial, original=_fmt(lhs), extended=_fmt(rhs))
-                break
-    return rec
+@check("scheme", "scheme:extension-isometry", ("extension-isometry", "(i)"),
+       trials=_half_trials, setup=_fixture, when=_wide_pad)
+def _check_extension_isometry(rec, trial, rng, mode, ctx):
+    dom_member = rng.choice(ctx.family)
+    cod_member = rng.choice(ctx.family)
+    dom = member_space(ctx, dom_member)
+    cod = member_space(ctx, cod_member)
+    d = generate.random_space(rng, len(cod_member), labels=cod_member, mode=mode)
+    pairs = [
+        (generate.random_map(rng, dom, cod), generate.random_map(rng, dom, cod))
+        for _ in range(2)
+    ]
+    for lhs, rhs in extension_isometry_check(ctx, dom_member, cod_member, d, pairs):
+        if not mode.eq(lhs, rhs):
+            rec.fail(trial, original=_fmt(lhs), extended=_fmt(rhs))
+            break
 
 
-def _check_padded_functor(cfg: RunConfig) -> list[CheckRecord]:
-    laws = CheckRecord("padded-functor-laws", "(Λ1)")
-    natural = CheckRecord("padded-naturality", "(Λ3)")
-    isom = CheckRecord("padded-embedding-isometry", "(Λ4)")
-    supiso = CheckRecord("padded-sup-isometry", "(Λ5)")
-    ctx = _fixture(cfg)
-    rng = generate.rng_for(cfg.seed, "scheme:padded")
-    mode = cfg.mode
-    if len(ctx.pad.points) < 2:
-        return [laws, natural, isom, supiso]
-    for trial in range(max(1, cfg.trials // 2)):
-        for rec in (laws, natural, isom, supiso):
-            rec.instances += 1
-        k_m = rng.choice(ctx.family)
-        l_m = rng.choice(ctx.family)
-        m_m = rng.choice(ctx.family)
-        k_sp, l_sp, m_sp = (member_space(ctx, m) for m in (k_m, l_m, m_m))
-        phi = generate.random_map(rng, k_sp, l_sp)
-        psi = generate.random_map(rng, l_sp, m_sp)
-        if padded_map(ctx, identity_map(k_sp)) != identity_map(padded_space(ctx, k_m)):
-            laws.fail(trial, law="identity")
-        elif padded_map(ctx, compose(psi, phi)) != compose(
-            padded_map(ctx, psi), padded_map(ctx, phi)
-        ):
-            laws.fail(trial, law="composition")
-        padded_phi = padded_map(ctx, phi)
-        if any(padded_phi(x) != phi(x) for x in k_sp.points) or any(
-            padded_phi(p) != p for p in ctx.pad.points
-        ):
-            natural.fail(trial, member=list(k_m))
-        padded_k = padded_space(ctx, k_m)
-        base = member_space(ctx, k_m)
-        bad = [
-            (x, y)
-            for x in base.points
-            for y in base.points
-            if not mode.eq(padded_k.distance(x, y), base.distance(x, y))
-        ]
-        if bad:
-            isom.fail(trial, pair=list(bad[0]))
-        phi2 = generate.random_map(rng, k_sp, l_sp)
-        if not mode.eq(
-            sup_distance(phi, phi2),
-            sup_distance(padded_map(ctx, phi), padded_map(ctx, phi2)),
-        ):
-            supiso.fail(trial, member=list(k_m))
-    return [laws, natural, isom, supiso]
+@check("scheme", "scheme:padded",
+       ("padded-functor-laws", "(Λ1)"),
+       ("padded-naturality", "(Λ3)"),
+       ("padded-embedding-isometry", "(Λ4)"),
+       ("padded-sup-isometry", "(Λ5)"),
+       trials=_padded_trials, setup=_fixture)
+def _check_padded_functor(records, trial, rng, mode, ctx):
+    laws, natural, isom, supiso = records
+    k_m = rng.choice(ctx.family)
+    l_m = rng.choice(ctx.family)
+    m_m = rng.choice(ctx.family)
+    k_sp, l_sp, m_sp = (member_space(ctx, m) for m in (k_m, l_m, m_m))
+    phi = generate.random_map(rng, k_sp, l_sp)
+    psi = generate.random_map(rng, l_sp, m_sp)
+    if padded_map(ctx, identity_map(k_sp)) != identity_map(padded_space(ctx, k_m)):
+        laws.fail(trial, law="identity")
+    elif padded_map(ctx, compose(psi, phi)) != compose(
+        padded_map(ctx, psi), padded_map(ctx, phi)
+    ):
+        laws.fail(trial, law="composition")
+    padded_phi = padded_map(ctx, phi)
+    if any(padded_phi(x) != phi(x) for x in k_sp.points) or any(
+        padded_phi(p) != p for p in ctx.pad.points
+    ):
+        natural.fail(trial, member=list(k_m))
+    padded_k = padded_space(ctx, k_m)
+    base = member_space(ctx, k_m)
+    bad = [
+        (x, y)
+        for x in base.points
+        for y in base.points
+        if not mode.eq(padded_k.distance(x, y), base.distance(x, y))
+    ]
+    if bad:
+        isom.fail(trial, pair=list(bad[0]))
+    phi2 = generate.random_map(rng, k_sp, l_sp)
+    if not mode.eq(
+        sup_distance(phi, phi2),
+        sup_distance(padded_map(ctx, phi), padded_map(ctx, phi2)),
+    ):
+        supiso.fail(trial, member=list(k_m))
 
 
-def _check_chart_independence(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("chart-independence", "plumbing")
+@check("scheme", None, ("chart-independence", "plumbing"), trials=None)
+def _check_chart_independence(rec, cfg):
     mode = cfg.mode
     rng = generate.rng_for(cfg.seed, "scheme:chart-independence")
     for h_seed in range(3):
         rec.instances += 1
         ctx = _fixture(cfg, h_seed=h_seed)
-        phi = _family_maps(ctx, rng, 1)[0]
+        phi = _family_map(ctx, rng)
         result = extend_map(ctx, phi)
         if any(result.extension(x) != phi(x) for x in phi.domain.points):
             rec.fail(h_seed, law="(b) under randomized charts")
@@ -1019,12 +920,10 @@ def _check_chart_independence(cfg: RunConfig) -> CheckRecord:
                 for y in member
             ):
                 rec.fail(h_seed, law="(i) under randomized charts")
-    return rec
 
 
-def _check_decomposition(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("decomposition-factorization", "(a)")
-    ctx = _fixture(cfg)
+@check("scheme", None, ("decomposition-factorization", "(a)"), trials=None, setup=_fixture)
+def _check_decomposition(rec, cfg, ctx):
     member = ctx.family[0]
     member_sp = member_space(ctx, member)
     bijections = subset_preserving_bijections(ctx, member)
@@ -1065,260 +964,182 @@ def _check_decomposition(cfg: RunConfig) -> CheckRecord:
         if lhs != rhs:
             rec.fail(-1, law="extension is not a homomorphism on bijections")
             break
-    return rec
-
-
-def scheme_suite(cfg: RunConfig) -> list[CheckRecord]:
-    records = [
-        _check_fixture_shape(cfg),
-        _check_extension_restricts(cfg),
-        _check_extension_functor_laws(cfg),
-    ]
-    records.extend(_check_scheme_transfers(cfg))
-    if cfg.n - cfg.k >= 2:
-        records.append(_check_metric_extension(cfg))
-        records.append(_check_extension_isometry(cfg))
-    records.extend(_check_padded_functor(cfg))
-    records.append(_check_chart_independence(cfg))
-    records.append(_check_decomposition(cfg))
-    return records
 
 
 # ---------------------------------------------------------------------------
 # step suite
 
 
-def _check_integral_axioms(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("integral-metric-axioms", "plumbing")
-    rng = generate.rng_for(cfg.seed, "step:axioms")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        target = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-        f = generate.random_step_function(rng, target, mode=mode)
-        g = generate.random_step_function(rng, target, mode=mode)
-        h = generate.random_step_function(rng, target, mode=mode)
-        if not mode.is_zero(integral_metric(f, f, mode)):
-            rec.fail(trial, law="identity")
-            continue
-        if mode.is_exact and f != g and not integral_metric(f, g, mode) > 0:
-            rec.fail(trial, law="positivity")
-            continue
-        if not mode.eq(integral_metric(f, g, mode), integral_metric(g, f, mode)):
-            rec.fail(trial, law="symmetry")
-            continue
-        if not mode.leq(
-            integral_metric(f, h, mode),
-            integral_metric(f, g, mode) + integral_metric(g, h, mode),
-        ):
-            rec.fail(trial, law="triangle")
-    return rec
+@check("step", "step:axioms", ("integral-metric-axioms", "plumbing"))
+def _check_integral_axioms(rec, trial, rng, mode):
+    target = generate.random_space(rng, rng.randint(2, 5), mode=mode)
+    f = generate.random_step_function(rng, target, mode=mode)
+    g = generate.random_step_function(rng, target, mode=mode)
+    h = generate.random_step_function(rng, target, mode=mode)
+    if not mode.is_zero(integral_metric(f, f, mode)):
+        rec.fail(trial, law="identity")
+        return
+    if mode.is_exact and f != g and not integral_metric(f, g, mode) > 0:
+        rec.fail(trial, law="positivity")
+        return
+    if not mode.eq(integral_metric(f, g, mode), integral_metric(g, f, mode)):
+        rec.fail(trial, law="symmetry")
+        return
+    if not mode.leq(
+        integral_metric(f, h, mode),
+        integral_metric(f, g, mode) + integral_metric(g, h, mode),
+    ):
+        rec.fail(trial, law="triangle")
 
 
-def _check_constant_isometry(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("constant-embedding-isometry", "(Λ4)")
-    rng = generate.rng_for(cfg.seed, "step:constants")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        target = generate.random_space(rng, rng.randint(2, 6), mode=mode)
-        p, q = rng.sample(target.points, 2)
-        value = integral_metric(
+@check("step", "step:constants", ("constant-embedding-isometry", "(Λ4)"))
+def _check_constant_isometry(rec, trial, rng, mode):
+    target = generate.random_space(rng, rng.randint(2, 6), mode=mode)
+    p, q = rng.sample(target.points, 2)
+    value = integral_metric(
+        dirac_const(target, p, mode), dirac_const(target, q, mode), mode
+    )
+    if not mode.eq(value, target.distance(p, q)):
+        rec.fail(trial, pair=[p, q], integral=_fmt(value),
+                 distance=_fmt(target.distance(p, q)))
+
+
+@check("step", "step:functor-laws", ("pushforward-functor-laws", "(Λ1)"))
+def _check_step_functor_laws(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
+    c = generate.random_space(rng, rng.randint(1, 4), prefix="c", mode=mode)
+    f = generate.random_map(rng, a, b)
+    g = generate.random_map(rng, b, c)
+    u = generate.random_step_function(rng, a, mode=mode)
+    if compose_pushforward(identity_map(a), u, mode) != u:
+        rec.fail(trial, law="identity")
+        return
+    lhs = compose_pushforward(compose(g, f), u, mode)
+    rhs = compose_pushforward(g, compose_pushforward(f, u, mode), mode)
+    if lhs != rhs:
+        rec.fail(trial, law="composition")
+
+
+@check("step", "step:naturality", ("pushforward-naturality", "(Λ3)"))
+def _check_step_naturality(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
+    f = generate.random_map(rng, a, b)
+    x = rng.choice(a.points)
+    lhs = compose_pushforward(f, dirac_const(a, x, mode), mode)
+    if lhs != dirac_const(b, f(x), mode):
+        rec.fail(trial, point=x)
+
+
+@check("step", "step:sup-bound", ("pushforward-sup-bound", "(Λ5)"))
+def _check_step_sup_bound(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
+    phi = generate.random_map(rng, a, b)
+    psi = generate.random_map(rng, a, b)
+    bound = mode.convert(sup_distance(phi, psi))
+    u = generate.random_step_function(rng, a, mode=mode)
+    value = integral_metric(
+        compose_pushforward(phi, u, mode), compose_pushforward(psi, u, mode), mode
+    )
+    if not mode.leq(value, bound):
+        rec.fail(trial, pushed=_fmt(value), bound=_fmt(bound))
+        return
+    attained = max(
+        integral_metric(
+            compose_pushforward(phi, dirac_const(a, x, mode), mode),
+            compose_pushforward(psi, dirac_const(a, x, mode), mode),
+            mode,
+        )
+        for x in a.points
+    )
+    if not mode.eq(attained, bound):
+        rec.fail(trial, constants_attain=_fmt(attained), bound=_fmt(bound))
+
+
+@check("step", "step:head-witness", ("head-witness", "(g)"))
+def _check_head_witness(rec, trial, rng, mode):
+    target = generate.random_space(rng, rng.randint(2, 5), mode=mode)
+    f = generate.random_step_function(rng, target, mode=mode)
+    a = rng.choice(target.points)
+    n = rng.randint(1, 64)
+    witness = phi_n_witness(a, n, f, mode)
+    bound = diameter(target) * (Fraction(1, n) if mode.is_exact else 1.0 / n)
+    if not mode.leq(integral_metric(witness, f, mode), bound):
+        rec.fail(trial, distance=_fmt(integral_metric(witness, f, mode)),
+                 bound=_fmt(bound))
+        return
+    if witness.values[0] != a:
+        rec.fail(trial, head=witness.values[0], expected=a)
+        return
+    others = tuple(p for p in target.points if p != a)
+    g = generate.random_step_function(rng, target, mode=mode)
+    avoiding = step_function(
+        target, g.breakpoints, tuple(rng.choice(others) for _ in g.values), mode
+    )
+    min_off = min(target.distance(a, b) for b in others)
+    head = Fraction(1, n) if mode.is_exact else 1.0 / n
+    if not mode.leq(head * min_off, integral_metric(witness, avoiding, mode)):
+        rec.fail(trial, separation=_fmt(integral_metric(witness, avoiding, mode)),
+                 lower_bound=_fmt(head * min_off))
+
+
+@check("step", "step:selection", ("preimage-selection-round-trip", "(d)"))
+def _check_selection_round_trip(rec, trial, rng, mode):
+    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
+    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
+    f = generate.random_map(rng, a, b)
+    u = generate.random_step_function(rng, a, mode=mode)
+    v = compose_pushforward(f, u, mode)
+    w = select_preimage(f, v, mode)
+    if compose_pushforward(f, w, mode) != v:
+        rec.fail(trial, law="round trip")
+        return
+    first = {}
+    for p in a.points:
+        first.setdefault(f(p), p)
+    if any(first[v_val] != w_val for v_val, w_val in zip(v.values, w.values)):
+        rec.fail(trial, law="least-index selection")
+
+
+@check("step", "step:diameter", ("step-diameter", "(i)"))
+def _check_step_diameter(rec, trial, rng, mode):
+    target = generate.random_space(rng, rng.randint(2, 5), mode=mode)
+    diam = mode.convert(diameter(target))
+    f = generate.random_step_function(rng, target, mode=mode)
+    g = generate.random_step_function(rng, target, mode=mode)
+    if not mode.leq(integral_metric(f, g, mode), diam):
+        rec.fail(trial, distance=_fmt(integral_metric(f, g, mode)),
+                 diameter=_fmt(diam))
+        return
+    attained = max(
+        integral_metric(
             dirac_const(target, p, mode), dirac_const(target, q, mode), mode
         )
-        if not mode.eq(value, target.distance(p, q)):
-            rec.fail(trial, pair=[p, q], integral=_fmt(value),
-                     distance=_fmt(target.distance(p, q)))
-    return rec
-
-
-def _check_step_functor_laws(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("pushforward-functor-laws", "(Λ1)")
-    rng = generate.rng_for(cfg.seed, "step:functor-laws")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
-        c = generate.random_space(rng, rng.randint(1, 4), prefix="c", mode=mode)
-        f = generate.random_map(rng, a, b)
-        g = generate.random_map(rng, b, c)
-        u = generate.random_step_function(rng, a, mode=mode)
-        if compose_pushforward(identity_map(a), u, mode) != u:
-            rec.fail(trial, law="identity")
-            continue
-        lhs = compose_pushforward(compose(g, f), u, mode)
-        rhs = compose_pushforward(g, compose_pushforward(f, u, mode), mode)
-        if lhs != rhs:
-            rec.fail(trial, law="composition")
-    return rec
-
-
-def _check_step_naturality(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("pushforward-naturality", "(Λ3)")
-    rng = generate.rng_for(cfg.seed, "step:naturality")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
-        f = generate.random_map(rng, a, b)
-        x = rng.choice(a.points)
-        lhs = compose_pushforward(f, dirac_const(a, x, mode), mode)
-        if lhs != dirac_const(b, f(x), mode):
-            rec.fail(trial, point=x)
-    return rec
-
-
-def _check_step_sup_bound(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("pushforward-sup-bound", "(Λ5)")
-    rng = generate.rng_for(cfg.seed, "step:sup-bound")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
-        phi = generate.random_map(rng, a, b)
-        psi = generate.random_map(rng, a, b)
-        bound = mode.convert(sup_distance(phi, psi))
-        u = generate.random_step_function(rng, a, mode=mode)
-        value = integral_metric(
-            compose_pushforward(phi, u, mode), compose_pushforward(psi, u, mode), mode
-        )
-        if not mode.leq(value, bound):
-            rec.fail(trial, pushed=_fmt(value), bound=_fmt(bound))
-            continue
-        attained = max(
-            integral_metric(
-                compose_pushforward(phi, dirac_const(a, x, mode), mode),
-                compose_pushforward(psi, dirac_const(a, x, mode), mode),
-                mode,
-            )
-            for x in a.points
-        )
-        if not mode.eq(attained, bound):
-            rec.fail(trial, constants_attain=_fmt(attained), bound=_fmt(bound))
-    return rec
-
-
-def _check_head_witness(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("head-witness", "(g)")
-    rng = generate.rng_for(cfg.seed, "step:head-witness")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        target = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-        f = generate.random_step_function(rng, target, mode=mode)
-        a = rng.choice(target.points)
-        n = rng.randint(1, 64)
-        witness = phi_n_witness(a, n, f, mode)
-        bound = diameter(target) * (Fraction(1, n) if mode.is_exact else 1.0 / n)
-        if not mode.leq(integral_metric(witness, f, mode), bound):
-            rec.fail(trial, distance=_fmt(integral_metric(witness, f, mode)),
-                     bound=_fmt(bound))
-            continue
-        if witness.values[0] != a:
-            rec.fail(trial, head=witness.values[0], expected=a)
-            continue
-        others = tuple(p for p in target.points if p != a)
-        g = generate.random_step_function(rng, target, mode=mode)
-        avoiding = step_function(
-            target, g.breakpoints, tuple(rng.choice(others) for _ in g.values), mode
-        )
-        min_off = min(target.distance(a, b) for b in others)
-        head = Fraction(1, n) if mode.is_exact else 1.0 / n
-        if not mode.leq(head * min_off, integral_metric(witness, avoiding, mode)):
-            rec.fail(trial, separation=_fmt(integral_metric(witness, avoiding, mode)),
-                     lower_bound=_fmt(head * min_off))
-    return rec
-
-
-def _check_selection_round_trip(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("preimage-selection-round-trip", "(d)")
-    rng = generate.rng_for(cfg.seed, "step:selection")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-        b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
-        f = generate.random_map(rng, a, b)
-        u = generate.random_step_function(rng, a, mode=mode)
-        v = compose_pushforward(f, u, mode)
-        w = select_preimage(f, v, mode)
-        if compose_pushforward(f, w, mode) != v:
-            rec.fail(trial, law="round trip")
-            continue
-        first = {}
-        for p in a.points:
-            first.setdefault(f(p), p)
-        if any(first[v_val] != w_val for v_val, w_val in zip(v.values, w.values)):
-            rec.fail(trial, law="least-index selection")
-    return rec
-
-
-def _check_step_diameter(cfg: RunConfig) -> CheckRecord:
-    rec = CheckRecord("step-diameter", "(i)")
-    rng = generate.rng_for(cfg.seed, "step:diameter")
-    mode = cfg.mode
-    for trial in range(cfg.trials):
-        rec.instances += 1
-        target = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-        diam = mode.convert(diameter(target))
-        f = generate.random_step_function(rng, target, mode=mode)
-        g = generate.random_step_function(rng, target, mode=mode)
-        if not mode.leq(integral_metric(f, g, mode), diam):
-            rec.fail(trial, distance=_fmt(integral_metric(f, g, mode)),
-                     diameter=_fmt(diam))
-            continue
-        attained = max(
-            integral_metric(
-                dirac_const(target, p, mode), dirac_const(target, q, mode), mode
-            )
-            for p in target.points
-            for q in target.points
-        )
-        if not mode.eq(attained, diam):
-            rec.fail(trial, attained=_fmt(attained), diameter=_fmt(diam))
-    return rec
-
-
-def step_suite(cfg: RunConfig) -> list[CheckRecord]:
-    return [
-        _check_integral_axioms(cfg),
-        _check_constant_isometry(cfg),
-        _check_step_functor_laws(cfg),
-        _check_step_naturality(cfg),
-        _check_step_sup_bound(cfg),
-        _check_head_witness(cfg),
-        _check_selection_round_trip(cfg),
-        _check_step_diameter(cfg),
-    ]
+        for p in target.points
+        for q in target.points
+    )
+    if not mode.eq(attained, diam):
+        rec.fail(trial, attained=_fmt(attained), diameter=_fmt(diam))
 
 
 # ---------------------------------------------------------------------------
-# runners
-
-
-_SUITES = {
-    "metric": metric_suite,
-    "measure": measure_suite,
-    "kantorovich": kantorovich_suite,
-    "scheme": scheme_suite,
-    "step": step_suite,
-}
+# runner
 
 
 def run_suite(name: str, cfg: RunConfig) -> Report:
     """Run one named suite (or "all") and wrap the records in a report."""
-    start = time.monotonic()
-    if name == "all":
-        records = []
-        for suite_name in SUITE_NAMES:
-            for record in _SUITES[suite_name](cfg):
-                record.name = f"{suite_name}/{record.name}"
-                records.append(record)
-    elif name in _SUITES:
-        records = _SUITES[name](cfg)
-    else:
+    if name != "all" and name not in _CHECKS:
         raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES + ('all',)}")
+    start = time.monotonic()
+    records = []
+    for suite in SUITE_NAMES if name == "all" else (name,):
+        for chk in _CHECKS[suite]:
+            if not chk.when(cfg):
+                continue
+            for record in chk.run(cfg):
+                if name == "all":
+                    record.name = f"{suite}/{record.name}"
+                records.append(record)
     return Report(f"check {name}", cfg, records, time.monotonic() - start)

@@ -5,6 +5,7 @@ line.  Each test also prints an explicit ``criterion N PASS`` line with the
 measured quantities (shown when capture is off or on failure).
 """
 
+import hashlib
 import itertools
 import json
 import subprocess
@@ -362,6 +363,11 @@ def test_criterion_8_step_space_metric_witness_and_selection():
     announce(8, "1000 metric triples, 64 head bounds x5, 500 selection round trips")
 
 
+# sha256 of the exact-mode `check all --seed 42` report; a refactor of the
+# suites must leave it unchanged.
+EXACT_SEED_42_SHA256 = "32ce15ce2a3df00aba5d7cd0c7360f0eb317cf8b673229bc88bd266a450e6d9a"
+
+
 def test_criterion_9_check_all_is_byte_reproducible_and_fast(tmp_path):
     outputs = []
     durations = []
@@ -386,6 +392,7 @@ def test_criterion_9_check_all_is_byte_reproducible_and_fast(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((tmp_path / name).read_bytes())
     assert outputs[0] == outputs[1], "reports differ between identical runs"
+    assert hashlib.sha256(outputs[0]).hexdigest() == EXACT_SEED_42_SHA256
     assert max(durations) < 300.0, f"run took {max(durations):.1f}s (budget 300s)"
     payload = json.loads(outputs[0])
     assert payload["pass"] is True

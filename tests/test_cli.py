@@ -92,6 +92,14 @@ class TestValidate:
         assert proc.returncode == 2
         assert "nope.json" in proc.stderr
 
+    def test_float_overflow_exits_two(self, workdir):
+        big = {"points": ["a", "b"], "dist": [["0", "1e400"], ["1e400", "0"]]}
+        (workdir / "big.json").write_text(json.dumps(big))
+        proc = run_cli("validate", "big.json", "--mode", "float", cwd=workdir)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_malformed_json_exits_two(self, workdir):
         (workdir / "garbage.json").write_text("{not json")
         proc = run_cli("validate", "garbage.json", cwd=workdir)
@@ -328,6 +336,28 @@ class TestReport:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "args, env, named",
+        [
+            (("check", "all", "--trials", "0"), None, "--trials"),
+            (("check", "metric", "--mode", "float", "--tolerance", "nan"), None,
+             "--tolerance"),
+            (("check", "metric", "--mode", "float", "--tolerance", "-1"), None,
+             "--tolerance"),
+            (("check", "metric", "--mode", "float", "--tolerance", "inf"), None,
+             "--tolerance"),
+            (("check", "metric", "--trials", "1"), {"ZFUN_SEED": "abc"}, "ZFUN_SEED"),
+        ],
+        ids=["trials-0", "tolerance-nan", "tolerance-negative", "tolerance-inf",
+             "env-seed"],
+    )
+    def test_bad_parameters_exit_two(self, tmp_path, args, env, named):
+        proc = run_cli(*args, env_extra=env, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_no_arguments_exits_two(self):
         proc = run_cli()
         assert proc.returncode == 2

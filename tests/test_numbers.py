@@ -93,6 +93,11 @@ class TestModes:
         with pytest.raises(ValueError):
             mode_from_name("interval")
 
+    def test_float_overflow_is_a_format_error(self):
+        with pytest.raises(FormatError):
+            float_mode().convert("1e400")
+        assert EXACT.convert("1e400") == Fraction(10) ** 400
+
     def test_bad_modes_rejected(self):
         with pytest.raises(ValueError):
             Mode("decimal")

@@ -1,11 +1,12 @@
 """The property-check suites: determinism, tags, defect injection, shrinking."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from zfun import EXACT, Report, RunConfig, float_mode, run_suite, validate_space
+from zfun import EXACT, Report, RunConfig, float_mode, run_suite, suites, validate_space
 from zfun.suites import (
     MAX_WITNESSES,
     SUITE_NAMES,
@@ -64,6 +65,41 @@ class TestRunSuite:
     def test_larger_fixture_parameters(self):
         report = run_suite("scheme", small_cfg(seed=3, trials=10, n=6, k=3))
         assert report.passed
+
+    def test_float_report_bytes_are_pinned(self):
+        report = run_suite("all", RunConfig(mode=float_mode(), seed=42, trials=100))
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        assert digest == "46405c368ec0f3a7871015981ed9b6bd0b8ef6e5c4a2dc8eeb25b13277836459"
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+class TestCrashIsolation:
+    def test_a_raising_check_becomes_one_failing_record(self, monkeypatch):
+        # within the metric suite only glue-functor-laws calls identity_map
+        monkeypatch.setattr(suites, "identity_map", _boom)
+        report = run_suite("metric", small_cfg())
+        assert len(report.records) == 7
+        failing = [record for record in report.records if not record.passed]
+        assert [record.name for record in failing] == ["glue-functor-laws"]
+        assert failing[0].failures == [{"instance": "0", "error": "RuntimeError: boom"}]
+        assert failing[0].instances == 1
+
+    def test_every_record_of_a_shared_stream_gets_the_witness(self, monkeypatch):
+        monkeypatch.setattr(suites, "padded_map", _boom)
+        report = run_suite("scheme", small_cfg())
+        failing = [record.name for record in report.records if not record.passed]
+        assert failing == [
+            "padded-functor-laws", "padded-naturality",
+            "padded-embedding-isometry", "padded-sup-isometry",
+        ]
+        for record in report.records:
+            if not record.passed:
+                assert record.failures == [
+                    {"instance": "0", "error": "RuntimeError: boom"}
+                ]
 
 
 class TestDefectInjection:
