@@ -18,7 +18,7 @@ from . import fileio
 from .errors import AxiomViolation, FormatError, ZfunError
 from .kantorovich import kantorovich_dual, kantorovich_primal
 from .measures import pushforward
-from .numbers import DEFAULT_FLOAT_TOLERANCE, mode_from_name
+from .numbers import DEFAULT_FLOAT_TOLERANCE, mode_from_name, parse_number
 from .scheme import (
     build_finite_fixture,
     decompose_automorphism,
@@ -207,8 +207,8 @@ def cmd_dist(args) -> int:
     mu = fileio.load_measure(args.mu, mode)
     nu = fileio.load_measure(args.nu, mode)
     start = time.monotonic()
-    dual_value, potential = kantorovich_dual(mu, nu, mode)
-    primal_value, plan = kantorovich_primal(mu, nu, mode)
+    dual_value, potential = kantorovich_dual(mu, nu)
+    primal_value, plan = kantorovich_primal(mu, nu)
     elapsed = time.monotonic() - start
     gap = primal_value - dual_value
     passed = mode.eq(gap, mode.zero)
@@ -235,7 +235,7 @@ def cmd_glue(args) -> int:
     mode = _mode(args)
     space = fileio.load_space(args.space, mode)
     anchor = fileio.load_space(args.anchor, mode) if args.anchor else None
-    glued = glue_space(space, anchor, mode)
+    glued = glue_space(space, anchor)
     _emit(fileio.space_to_obj(glued), args)
     return 0
 
@@ -244,9 +244,23 @@ def cmd_push(args) -> int:
     mode = _mode(args)
     f = fileio.load_map(args.map, mode)
     mu = fileio.load_measure(args.measure, mode)
-    nu = pushforward(f, mu, mode)
+    nu = pushforward(f, mu)
     _emit(fileio.measure_to_obj(nu), args)
     return 0
+
+
+def _fixture_int(desc: dict, key: str, default=None):
+    """``desc[key]`` as an integer (``default`` when absent), or FormatError."""
+    value = desc.get(key, default)
+    if value is None:
+        return None
+    try:
+        number = parse_number(value)
+    except (FormatError, ValueError, OverflowError):
+        number = None
+    if number is None or number.denominator != 1:
+        raise FormatError(f"fixture {key!r} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _fixture_from_args(args, mode, seed):
@@ -254,10 +268,9 @@ def _fixture_from_args(args, mode, seed):
         desc = fileio.load_json(args.fixture)
         if not isinstance(desc, dict) or "n" not in desc or "k" not in desc:
             raise FormatError("a fixture file needs at least 'n' and 'k'")
-        n, k = int(desc["n"]), int(desc["k"])
-        fixture_seed = int(desc.get("seed", seed))
-        h_seed = desc.get("h_seed")
-        h_seed = int(h_seed) if h_seed is not None else None
+        n, k = _fixture_int(desc, "n"), _fixture_int(desc, "k")
+        fixture_seed = _fixture_int(desc, "seed", seed)
+        h_seed = _fixture_int(desc, "h_seed")
         ambient = None
         if "ambient" in desc:
             ambient = fileio.space_from_obj(

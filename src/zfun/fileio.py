@@ -89,7 +89,7 @@ def measure_from_obj(obj, mode: Mode = EXACT, base: Path | None = None) -> ProbM
     weights = obj["weights"]
     if not isinstance(weights, dict):
         raise FormatError("'weights' must be an object mapping labels to numbers")
-    return prob_measure(space, weights, mode)
+    return prob_measure(space, weights)
 
 
 def measure_to_obj(mu: ProbMeasure) -> dict:

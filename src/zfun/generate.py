@@ -53,21 +53,18 @@ def random_space(
     return validate_space(pts, d, mode)
 
 
-def normalize_diameter(space: FiniteMetricSpace, mode: Mode = EXACT) -> FiniteMetricSpace:
+def normalize_diameter(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Rescale so the diameter is exactly one (space must have >= 2 points)."""
     top = max(max(row) for row in space.dist)
     return validate_space(
         space.points,
         [[v / top for v in row] for row in space.dist],
-        mode,
+        space.mode,
     )
 
 
 def random_measure(
-    rng: random.Random,
-    space: FiniteMetricSpace,
-    mode: Mode = EXACT,
-    full_support: bool = False,
+    rng: random.Random, space: FiniteMetricSpace, *, full_support: bool = False
 ) -> ProbMeasure:
     """Random rational weights totalling exactly one (possibly sparse)."""
     n = len(space.points)
@@ -80,7 +77,7 @@ def random_measure(
         if total > 0:
             break
     weights = {p: Fraction(w, total) for p, w in zip(space.points, raw) if w}
-    return prob_measure(space, weights, mode)
+    return prob_measure(space, weights)
 
 
 def random_map(
@@ -91,15 +88,11 @@ def random_map(
 
 
 def random_step_function(
-    rng: random.Random,
-    target: FiniteMetricSpace,
-    max_segments: int = 6,
-    grid: int = 64,
-    mode: Mode = EXACT,
+    rng: random.Random, target: FiniteMetricSpace, max_segments: int = 6, grid: int = 64
 ) -> StepFunction:
     """Random step function with breakpoints on the 1/grid lattice."""
     cells = rng.randint(1, max_segments)
     interior = sorted(rng.sample(range(1, grid), min(cells - 1, grid - 1)))
     bps = [Fraction(0)] + [Fraction(k, grid) for k in interior] + [Fraction(1)]
     vals = [rng.choice(target.points) for _ in range(len(bps) - 1)]
-    return step_function(target, bps, vals, mode)
+    return step_function(target, bps, vals)

@@ -27,7 +27,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .measures import ProbMeasure, dirac, pushforward
-from .numbers import EXACT, Mode, Num
+from .numbers import Num
 from .simplexlp import solve_inequality_lp
 from .spaces import FiniteMetricSpace, MetricMap, diameter, sup_distance
 
@@ -47,9 +47,10 @@ class LipschitzPotential:
 
 
 def lipschitz_potential(
-    space: FiniteMetricSpace, values: Mapping[str, Num], mode: Mode = EXACT
+    space: FiniteMetricSpace, values: Mapping[str, Num]
 ) -> LipschitzPotential:
     """Validate the 1-Lipschitz property over all pairs and canonicalize."""
+    mode = space.mode
     missing = [p for p in space.points if p not in values]
     if missing:
         raise InvalidWeights(f"potential not defined at {missing!r}")
@@ -94,14 +95,12 @@ class TransportPlan:
 
 
 def transport_plan(
-    source: ProbMeasure,
-    target: ProbMeasure,
-    matrix: Sequence[Sequence[Num]],
-    mode: Mode = EXACT,
+    source: ProbMeasure, target: ProbMeasure, matrix: Sequence[Sequence[Num]]
 ) -> TransportPlan:
     """Validate marginals (and nonnegativity) of a coupling matrix."""
     if source.space != target.space:
         raise SpaceMismatch("a plan couples measures on one space")
+    mode = source.space.mode
     n = len(source.space.points)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InvalidWeights(f"plan matrix must be {n}x{n}")
@@ -130,9 +129,7 @@ def _require_shared_space(mu: ProbMeasure, nu: ProbMeasure) -> FiniteMetricSpace
 # dual route: LP over the Lipschitz polytope
 
 
-def kantorovich_dual(
-    mu: ProbMeasure, nu: ProbMeasure, mode: Mode = EXACT
-) -> tuple[Num, LipschitzPotential]:
+def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPotential]:
     """Largest integral difference over 1-Lipschitz potentials, with certificate.
 
     The potential is normalized to vanish at the first point.  Substituting
@@ -141,6 +138,7 @@ def kantorovich_dual(
     starts feasible.
     """
     space = _require_shared_space(mu, nu)
+    mode = space.mode
     pts = space.points
     n = len(pts)
     zero = mode.zero
@@ -175,7 +173,7 @@ def kantorovich_dual(
     values = {pts[0]: zero}
     for i in range(1, n):
         values[pts[i]] = g[i - 1] - d[0][i]
-    certificate = lipschitz_potential(space, values, mode)
+    certificate = lipschitz_potential(space, values)
     return value, certificate
 
 
@@ -308,15 +306,14 @@ def _transport_simplex(costs, supply, demand, mode, max_pivots: int = 100_000):
     raise SolverFailure("pivot budget exhausted")
 
 
-def kantorovich_primal(
-    mu: ProbMeasure, nu: ProbMeasure, mode: Mode = EXACT
-) -> tuple[Num, TransportPlan]:
+def kantorovich_primal(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, TransportPlan]:
     """Least transport cost between two measures, with an optimal plan.
 
     Solved on the supports only; the returned plan matrix is indexed by the
     full point set (zero rows/columns off-support).
     """
     space = _require_shared_space(mu, nu)
+    mode = space.mode
     total_mu = sum((w for _, w in mu.weights), mode.zero)
     total_nu = sum((w for _, w in nu.weights), mode.zero)
     if not mode.eq(total_mu, total_nu):
@@ -335,7 +332,7 @@ def kantorovich_primal(
             amount = 0.0  # round simplex dust back into the feasible region
         matrix[src[r]][snk[c]] = matrix[src[r]][snk[c]] + amount
         value += amount * costs[r][c]
-    plan = transport_plan(mu, nu, matrix, mode)
+    plan = transport_plan(mu, nu, matrix)
     return value, plan
 
 
@@ -343,42 +340,37 @@ def kantorovich_primal(
 # the metric itself and its derived checks
 
 
-def kantorovich(mu: ProbMeasure, nu: ProbMeasure, mode: Mode = EXACT) -> Num:
+def kantorovich(mu: ProbMeasure, nu: ProbMeasure) -> Num:
     """The Kantorovich distance (computed by the defining dual route)."""
-    value, _ = kantorovich_dual(mu, nu, mode)
+    value, _ = kantorovich_dual(mu, nu)
     return value
 
 
-def duality_gap(mu: ProbMeasure, nu: ProbMeasure, mode: Mode = EXACT) -> Num:
+def duality_gap(mu: ProbMeasure, nu: ProbMeasure) -> Num:
     """Primal minus dual optimum: exactly zero in exact mode."""
-    primal, _ = kantorovich_primal(mu, nu, mode)
-    dual, _ = kantorovich_dual(mu, nu, mode)
+    primal, _ = kantorovich_primal(mu, nu)
+    dual, _ = kantorovich_dual(mu, nu)
     return primal - dual
 
 
-def measure_diameter_check(
-    space: FiniteMetricSpace, mode: Mode = EXACT
-) -> tuple[Num, Num]:
+def measure_diameter_check(space: FiniteMetricSpace) -> tuple[Num, Num]:
     """(largest Kantorovich distance over Dirac pairs, space diameter).
 
     The two numbers agree: measures can never be farther apart than the
     farthest pair of points.
     """
     pts = space.points
-    best = mode.zero
+    best = space.mode.zero
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            value = kantorovich(dirac(space, pts[i], mode), dirac(space, pts[j], mode), mode)
+            value = kantorovich(dirac(space, pts[i]), dirac(space, pts[j]))
             if value > best:
                 best = value
-    return best, mode.convert(diameter(space))
+    return best, diameter(space)
 
 
 def map_isometry_check(
-    phi: MetricMap,
-    psi: MetricMap,
-    sampled: Sequence[ProbMeasure] = (),
-    mode: Mode = EXACT,
+    phi: MetricMap, psi: MetricMap, sampled: Sequence[ProbMeasure] = ()
 ) -> tuple[Num, Num]:
     """(largest Kantorovich distance of pushed Dirac pairs, sup distance).
 
@@ -387,15 +379,16 @@ def map_isometry_check(
     """
     if phi.domain != psi.domain or phi.codomain != psi.codomain:
         raise SpaceMismatch("maps must share domain and codomain")
+    mode = phi.domain.mode
     best = mode.zero
     for p in phi.domain.points:
-        delta = dirac(phi.domain, p, mode)
-        value = kantorovich(pushforward(phi, delta, mode), pushforward(psi, delta, mode), mode)
+        delta = dirac(phi.domain, p)
+        value = kantorovich(pushforward(phi, delta), pushforward(psi, delta))
         if value > best:
             best = value
-    bound = mode.convert(sup_distance(phi, psi))
+    bound = sup_distance(phi, psi)
     for mu in sampled:
-        value = kantorovich(pushforward(phi, mu, mode), pushforward(psi, mu, mode), mode)
+        value = kantorovich(pushforward(phi, mu), pushforward(psi, mu))
         if not mode.leq(value, bound):
             raise SolverFailure(
                 f"sampled measure beats the sup-distance bound: {value} > {bound}"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import InvalidWeights, SpaceMismatch, UnknownPoint
-from .numbers import EXACT, Mode, Num
+from .numbers import Num
 from .spaces import FiniteMetricSpace, MetricMap, image
 
 RENORMALIZE_WITHIN = 1e-12
@@ -46,14 +46,13 @@ class ProbMeasure:
         return dict(self.weights)
 
 
-def prob_measure(
-    space: FiniteMetricSpace, weights: Mapping[str, object], mode: Mode = EXACT
-) -> ProbMeasure:
-    """Validate and canonicalize weights into a measure.
+def prob_measure(space: FiniteMetricSpace, weights: Mapping[str, object]) -> ProbMeasure:
+    """Validate and canonicalize weights into a measure, in the space's mode.
 
     Exact mode demands a total of exactly one.  Float mode accepts totals
     within 1e-12 of one, renormalizes, and records the drift.
     """
+    mode = space.mode
     table: dict[str, Num] = {}
     for label, raw in weights.items():
         if label not in space:
@@ -77,30 +76,30 @@ def prob_measure(
     return ProbMeasure(space, canonical, drift)
 
 
-def dirac(space: FiniteMetricSpace, point: str, mode: Mode = EXACT) -> ProbMeasure:
+def dirac(space: FiniteMetricSpace, point: str) -> ProbMeasure:
     """Unit mass at ``point``."""
     if point not in space:
         raise UnknownPoint(f"{point!r} is not a point of the space")
-    return ProbMeasure(space, ((point, mode.one),))
+    return ProbMeasure(space, ((point, space.mode.one),))
 
 
-def pushforward(f: MetricMap, mu: ProbMeasure, mode: Mode = EXACT) -> ProbMeasure:
+def pushforward(f: MetricMap, mu: ProbMeasure) -> ProbMeasure:
     """Transport ``mu`` along ``f``: each target point collects its fiber's mass."""
     if mu.space != f.domain:
         raise SpaceMismatch("measure does not live on the map's domain")
+    zero = mu.space.mode.zero
     out: dict[str, Num] = {}
     for p, w in mu.weights:
         q = f(p)
-        out[q] = out.get(q, mode.zero) + w
-    return prob_measure(f.codomain, out, mode)
+        out[q] = out.get(q, zero) + w
+    return prob_measure(f.codomain, out)
 
 
-def convex_combination(
-    t, mu: ProbMeasure, nu: ProbMeasure, mode: Mode = EXACT
-) -> ProbMeasure:
+def convex_combination(t, mu: ProbMeasure, nu: ProbMeasure) -> ProbMeasure:
     """``t * mu + (1 - t) * nu`` for ``t`` in [0, 1]."""
     if mu.space != nu.space:
         raise SpaceMismatch("convex combination needs a shared space")
+    mode = mu.space.mode
     coeff = mode.convert(t)
     if coeff < 0 or coeff > 1:
         raise InvalidWeights(f"coefficient {coeff} outside [0, 1]")
@@ -109,43 +108,42 @@ def convex_combination(
         out[p] = out.get(p, mode.zero) + coeff * w
     for p, w in nu.weights:
         out[p] = out.get(p, mode.zero) + (mode.one - coeff) * w
-    return prob_measure(mu.space, out, mode)
+    return prob_measure(mu.space, out)
 
 
-def integrate(g: Mapping[str, Num], mu: ProbMeasure, mode: Mode = EXACT) -> Num:
+def integrate(g: Mapping[str, Num], mu: ProbMeasure) -> Num:
     """Integral of the function ``g`` (a table on the points) against ``mu``."""
-    return sum((g[p] * w for p, w in mu.weights), mode.zero)
+    return sum((g[p] * w for p, w in mu.weights), mu.space.mode.zero)
 
 
 def change_of_variables_check(
-    f: MetricMap, mu: ProbMeasure, g: Mapping[str, Num], mode: Mode = EXACT
+    f: MetricMap, mu: ProbMeasure, g: Mapping[str, Num]
 ) -> tuple[Num, Num]:
     """Both sides of the substitution rule.
 
     Returns ``(integral of g against pushforward, integral of g∘f against mu)``;
     the two agree for every table ``g`` on the codomain.
     """
-    lhs = integrate(g, pushforward(f, mu, mode), mode)
-    rhs = integrate({p: g[f(p)] for p in f.domain.points}, mu, mode)
+    lhs = integrate(g, pushforward(f, mu))
+    rhs = integrate({p: g[f(p)] for p in f.domain.points}, mu)
     return lhs, rhs
 
 
-def image_weight(f: MetricMap, mu: ProbMeasure, mode: Mode = EXACT) -> Num:
+def image_weight(f: MetricMap, mu: ProbMeasure) -> Num:
     """Mass that ``mu`` assigns to the image of ``f`` (mu lives on the codomain)."""
     if mu.space != f.codomain:
         raise SpaceMismatch("measure does not live on the map's codomain")
     img = set(image(f))
-    return sum((w for p, w in mu.weights if p in img), mode.zero)
+    return sum((w for p, w in mu.weights if p in img), mu.space.mode.zero)
 
 
-def in_image(f: MetricMap, mu: ProbMeasure, mode: Mode = EXACT) -> bool:
+def in_image(f: MetricMap, mu: ProbMeasure) -> bool:
     """Whether ``mu`` is a pushforward along ``f``: full mass on the image."""
-    return mode.eq(image_weight(f, mu, mode), mode.one)
+    mode = mu.space.mode
+    return mode.eq(image_weight(f, mu), mode.one)
 
 
-def preimage_measure(
-    f: MetricMap, mu: ProbMeasure, mode: Mode = EXACT
-) -> Optional[ProbMeasure]:
+def preimage_measure(f: MetricMap, mu: ProbMeasure) -> Optional[ProbMeasure]:
     """A constructive witness ``nu`` with ``pushforward(f, nu) == mu``, or None.
 
     Splits each target point's mass uniformly across its fiber.  Returns None
@@ -157,6 +155,7 @@ def preimage_measure(
     fibers: dict[str, list[str]] = {}
     for p in f.domain.points:
         fibers.setdefault(f(p), []).append(p)
+    zero = mu.space.mode.zero
     out: dict[str, Num] = {}
     for q, w in mu.weights:
         fiber = fibers.get(q)
@@ -164,14 +163,15 @@ def preimage_measure(
             return None
         share = w / len(fiber)
         for p in fiber:
-            out[p] = out.get(p, mode.zero) + share
-    return prob_measure(f.domain, out, mode)
+            out[p] = out.get(p, zero) + share
+    return prob_measure(f.domain, out)
 
 
-def measures_equal(a: ProbMeasure, b: ProbMeasure, mode: Mode = EXACT) -> bool:
-    """Mode-aware equality on a shared space."""
+def measures_equal(a: ProbMeasure, b: ProbMeasure) -> bool:
+    """Equality on a shared space, within the space's tolerance."""
     if a.space != b.space:
         return False
+    mode = a.space.mode
     keys = set(a.as_dict()) | set(b.as_dict())
     return all(mode.eq(a.weight(k), b.weight(k)) for k in keys)
 
@@ -187,7 +187,7 @@ def dirac_collision_witness(f: MetricMap) -> Optional[tuple[str, str]]:
     return None
 
 
-def injectivity_transfer_check(f: MetricMap, mode: Mode = EXACT) -> bool:
+def injectivity_transfer_check(f: MetricMap) -> bool:
     """Pushforward collapses two Diracs iff the underlying map collides.
 
     Returns True when the equivalence holds for ``f`` (it always does; this is
@@ -197,20 +197,16 @@ def injectivity_transfer_check(f: MetricMap, mode: Mode = EXACT) -> bool:
     collides = witness is not None
     if collides:
         a, b = witness
-        pushed_equal = measures_equal(
-            pushforward(f, dirac(f.domain, a, mode), mode),
-            pushforward(f, dirac(f.domain, b, mode), mode),
-            mode,
+        return measures_equal(
+            pushforward(f, dirac(f.domain, a)), pushforward(f, dirac(f.domain, b))
         )
-        return pushed_equal
     # injective: every pair of distinct Diracs must stay distinct
     pts = f.domain.points
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if measures_equal(
-                pushforward(f, dirac(f.domain, pts[i], mode), mode),
-                pushforward(f, dirac(f.domain, pts[j], mode), mode),
-                mode,
+                pushforward(f, dirac(f.domain, pts[i])),
+                pushforward(f, dirac(f.domain, pts[j])),
             ):
                 return False
     return True

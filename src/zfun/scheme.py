@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,6 +30,7 @@ from .errors import (
     InvalidMetric,
     NotInFamily,
     NotSetwiseInvariant,
+    SpaceMismatch,
 )
 from .generate import normalize_diameter, random_space, rng_for
 from .numbers import EXACT, Mode, Num
@@ -39,7 +39,8 @@ from .spaces import (
     FiniteMetricSpace,
     MetricMap,
     compose,
-    glue_metric,
+    glue_map,
+    glue_space,
     invert,
     is_bijective,
     metric_map,
@@ -84,6 +85,14 @@ class ContinuationContext:
         return {v: k for k, v in self._chart_table[member].items()}
 
 
+def check_fixture_sizes(n, k) -> None:
+    """Raise :class:`BadParameters` unless ``1 <= k <= n/2`` with integer sizes."""
+    if not (isinstance(n, int) and isinstance(k, int)):
+        raise BadParameters("n and k must be integers")
+    if not (1 <= k and 2 * k <= n):
+        raise BadParameters(f"need 1 <= k <= n/2, got n={n}, k={k}")
+
+
 def build_finite_fixture(
     n: int,
     k: int,
@@ -94,31 +103,30 @@ def build_finite_fixture(
 ) -> ContinuationContext:
     """Random fixture: ambient space of ``n`` points, all ``k``-subsets, a pad.
 
-    Requires ``1 <= k <= n/2``.  With ``h_seed`` None each chart is the
-    canonical one (identity on the subset, order-preserving on the pad);
-    otherwise charts are seeded random bijections still carrying each subset
-    onto itself.
+    Requires ``1 <= k <= n/2``, and a given ``ambient`` must be in ``mode``.
+    With ``h_seed`` None each chart is the canonical one (identity on the
+    subset, order-preserving on the pad); otherwise charts are seeded random
+    bijections still carrying each subset onto itself.
     """
-    if not (isinstance(n, int) and isinstance(k, int)):
-        raise BadParameters("n and k must be integers")
-    if not (1 <= k and 2 * k <= n):
-        raise BadParameters(f"need 1 <= k <= n/2, got n={n}, k={k}")
+    check_fixture_sizes(n, k)
     if ambient is None:
         ambient = random_space(rng_for(seed, f"fixture-ambient-{n}"), n, mode=mode)
     elif len(ambient.points) != n:
         raise BadParameters(f"ambient has {len(ambient.points)} points, expected {n}")
+    elif ambient.mode != mode:
+        raise SpaceMismatch("the ambient space is not in the fixture's mode")
 
     pad_size = n - k
     pad_labels = relabel_disjoint(
         tuple(f"{ANCHOR_PREFIX}{i}" for i in range(pad_size)), ambient.points
     )
     if pad_size == 1:
-        pad = FiniteMetricSpace(pad_labels, ((mode.zero,),))
+        pad = FiniteMetricSpace(pad_labels, ((mode.zero,),), mode)
     else:
         raw = random_space(
             rng_for(seed, f"fixture-pad-{n}-{k}"), pad_size, labels=pad_labels, mode=mode
         )
-        pad = normalize_diameter(raw, mode)
+        pad = normalize_diameter(raw)
 
     family = tuple(itertools.combinations(ambient.points, k))
     charts = []
@@ -158,27 +166,18 @@ def padded_space(ctx: ContinuationContext, member: Sequence[str]) -> FiniteMetri
     """Member-plus-pad as a metric space (cross distance ``max(diameter, 1)``).
 
     Needs the pad to have diameter exactly one, which fails only for
-    single-point pads (``n - k == 1``).
+    single-point pads (``n - k == 1``).  The pad labels avoid the ambient
+    ones, so gluing keeps them.
     """
-    key = ctx.member(member)
-    base = subspace(ctx.ambient, key)
-    matrix = glue_metric(base, ctx.pad, _mode_of(ctx))
-    return validate_space(key + ctx.pad.points, matrix, _mode_of(ctx))
+    return glue_space(member_space(ctx, member), ctx.pad)
 
 
 def padded_map(ctx: ContinuationContext, f: MetricMap) -> MetricMap:
     """Action on maps: ``f`` on the member, identity on the pad."""
-    dom = padded_space(ctx, f.domain.points)
-    cod = padded_space(ctx, f.codomain.points)
-    table = f.as_dict()
-    for p in ctx.pad.points:
-        table[p] = p
-    return metric_map(dom, cod, table)
-
-
-def _mode_of(ctx: ContinuationContext) -> Mode:
-    sample = ctx.ambient.dist[0][0]
-    return EXACT if isinstance(sample, Fraction) else Mode("float", 1e-9)
+    # both ends must be family members (NotInFamily otherwise)
+    ctx.member(f.domain.points)
+    ctx.member(f.codomain.points)
+    return glue_map(f, ctx.pad)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +247,14 @@ def extend_metric(
         raise InvalidMetric(
             f"metric is on {sorted(d.points)!r}, expected {sorted(key)!r}"
         )
+    if d.mode != ctx.ambient.mode:
+        raise SpaceMismatch("the metric is not in the ambient space's mode")
     if len(ctx.pad.points) == 1:
         raise AnchorDiameterNotOne(
             "single-point pads cannot carry the diameter-one metric "
             "required for metric extension"
         )
-    mode = _mode_of(ctx)
+    mode = d.mode
     h = ctx.chart(key)
     # pull back: distances between member labels, read through the chart
     pulled = validate_space(
@@ -261,8 +262,7 @@ def extend_metric(
         [[d.distance(h[x], h[y]) for y in key] for x in key],
         mode,
     )
-    padded_matrix = glue_metric(pulled, ctx.pad, mode)
-    padded = validate_space(key + ctx.pad.points, padded_matrix, mode)
+    padded = glue_space(pulled, ctx.pad)
     h_inv = ctx.chart_inverse(key)
     matrix = [
         [padded.distance(h_inv[a], h_inv[b]) for b in ctx.ambient.points]

@@ -1,17 +1,18 @@
 """Finite metric spaces, maps between them, and the anchor-gluing construction.
 
 A space is a nonempty tuple of distinct string labels plus a square distance
-matrix; all values are immutable once validated.  Gluing adjoins a fixed
-"anchor" space of diameter exactly one, with every cross distance set to
-``max(diameter, 1)`` — the (nonexpansive) maps between glued spaces act as the
-original map on the original points and as the identity on the anchor copy.
+matrix and the arithmetic mode it was validated in; all values are immutable
+once validated, and whatever is built on a space works in its mode.  Gluing
+adjoins a fixed "anchor" space of diameter exactly one, with every cross
+distance set to ``max(diameter, 1)`` — the (nonexpansive) maps between glued
+spaces act as the original map on the original points and as the identity on
+the anchor copy.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -19,6 +20,7 @@ from .errors import (
     AxiomViolation,
     BadParameters,
     DomainMismatch,
+    SpaceMismatch,
     UnknownPoint,
 )
 from .numbers import EXACT, Mode, Num
@@ -30,12 +32,15 @@ ANCHOR_PREFIX = "ω:"  # "ω:" — reserved for anchor/pad labels
 class FiniteMetricSpace:
     """A finite labeled point set with a validated distance matrix.
 
-    Build instances through :func:`validate_space`; the raw constructor trusts
-    its arguments.
+    ``mode`` is the arithmetic the distances were validated in; it takes part
+    in equality, so an exact and a float space are never equal.  Build
+    instances through :func:`validate_space`; the raw constructor trusts its
+    arguments.
     """
 
     points: tuple[str, ...]
     dist: tuple[tuple[Num, ...], ...]
+    mode: Mode
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,13 +119,13 @@ def validate_space(
     violations = metric_violations(pts, matrix, mode)
     if violations:
         raise AxiomViolation(violations)
-    return FiniteMetricSpace(pts, matrix)
+    return FiniteMetricSpace(pts, matrix, mode)
 
 
 def diameter(space: FiniteMetricSpace) -> Num:
     """Largest pairwise distance (zero for a singleton)."""
     n = len(space.points)
-    best: Num = Fraction(0) if n == 0 or isinstance(space.dist[0][0], Fraction) else 0.0
+    best = space.mode.zero
     for i in range(n):
         for j in range(i + 1, n):
             if space.dist[i][j] > best:
@@ -137,7 +142,7 @@ def subspace(space: FiniteMetricSpace, labels: Iterable[str]) -> FiniteMetricSpa
     pts = tuple(p for p in space.points if p in wanted)
     idx = [space.index(p) for p in pts]
     matrix = tuple(tuple(space.dist[i][j] for j in idx) for i in idx)
-    return FiniteMetricSpace(pts, matrix)
+    return FiniteMetricSpace(pts, matrix, space.mode)
 
 
 @dataclass(frozen=True)
@@ -173,6 +178,8 @@ def metric_map(
     assignment: Mapping[str, str],
 ) -> MetricMap:
     """Validate totality and codomain membership, return the canonical map."""
+    if domain.mode != codomain.mode:
+        raise DomainMismatch("domain and codomain differ in arithmetic mode")
     extra = set(assignment) - set(domain.points)
     if extra:
         raise DomainMismatch(f"assignment mentions non-domain points: {sorted(extra)!r}")
@@ -244,6 +251,7 @@ def default_anchor(mode: Mode = EXACT) -> FiniteMetricSpace:
     return FiniteMetricSpace(
         (ANCHOR_PREFIX + "0", ANCHOR_PREFIX + "1"),
         ((zero, one), (one, zero)),
+        mode,
     )
 
 
@@ -264,25 +272,32 @@ def relabel_disjoint(labels: Sequence[str], taken: Iterable[str]) -> tuple[str, 
     return tuple(out)
 
 
-def _check_anchor(anchor: FiniteMetricSpace, mode: Mode) -> None:
+def _anchor_for(
+    space: FiniteMetricSpace, anchor: FiniteMetricSpace | None
+) -> FiniteMetricSpace:
+    """The anchor to glue onto ``space``: the default one, or a checked ``anchor``."""
+    mode = space.mode
+    if anchor is None:
+        return default_anchor(mode)
+    if anchor.mode != mode:
+        raise SpaceMismatch("the anchor and the space differ in arithmetic mode")
     if not mode.eq(diameter(anchor), mode.one):
         raise AnchorDiameterNotOne(
             f"anchor diameter is {diameter(anchor)}, expected exactly 1"
         )
+    return anchor
 
 
 def glue_metric(
-    space: FiniteMetricSpace, anchor: FiniteMetricSpace | None = None, mode: Mode = EXACT
+    space: FiniteMetricSpace, anchor: FiniteMetricSpace | None = None
 ) -> tuple[tuple[Num, ...], ...]:
     """Distance matrix of the glued space: block-diagonal plus constant cross.
 
     Point order is ``space.points`` followed by the (relabeled) anchor points;
     every cross distance equals ``max(diameter(space), 1)``.
     """
-    if anchor is None:
-        anchor = default_anchor(mode)
-    _check_anchor(anchor, mode)
-    cross = max(diameter(space), mode.one)
+    anchor = _anchor_for(space, anchor)
+    cross = max(diameter(space), space.mode.one)
     n, m = len(space.points), len(anchor.points)
     rows = []
     for i in range(n):
@@ -293,28 +308,23 @@ def glue_metric(
 
 
 def glue_space(
-    space: FiniteMetricSpace, anchor: FiniteMetricSpace | None = None, mode: Mode = EXACT
+    space: FiniteMetricSpace, anchor: FiniteMetricSpace | None = None
 ) -> FiniteMetricSpace:
     """Adjoin a disjoint copy of the anchor; re-verified by the validator."""
-    if anchor is None:
-        anchor = default_anchor(mode)
-    matrix = glue_metric(space, anchor, mode)
+    anchor = _anchor_for(space, anchor)
+    matrix = glue_metric(space, anchor)
     extra = relabel_disjoint(anchor.points, space.points)
-    return validate_space(space.points + extra, matrix, mode)
+    return validate_space(space.points + extra, matrix, space.mode)
 
 
-def glue_map(
-    f: MetricMap, anchor: FiniteMetricSpace | None = None, mode: Mode = EXACT
-) -> MetricMap:
+def glue_map(f: MetricMap, anchor: FiniteMetricSpace | None = None) -> MetricMap:
     """Extend ``f`` over the glued spaces, fixing the anchor copy pointwise.
 
     The anchor copies in the glued domain and codomain correspond
     positionally (relabeling may give them different labels on each side).
     """
-    if anchor is None:
-        anchor = default_anchor(mode)
-    gdom = glue_space(f.domain, anchor, mode)
-    gcod = glue_space(f.codomain, anchor, mode)
+    gdom = glue_space(f.domain, anchor)
+    gcod = glue_space(f.codomain, anchor)
     dom_extra = gdom.points[len(f.domain.points):]
     cod_extra = gcod.points[len(f.codomain.points):]
     table = f.as_dict()

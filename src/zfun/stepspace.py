@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BadN, BadParameters, TargetMismatch, UnknownPoint, ValueOutsideImage
-from .numbers import EXACT, Mode, Num
+from .numbers import Num
 from .spaces import FiniteMetricSpace, MetricMap, diameter
 
 
@@ -38,18 +38,15 @@ class StepFunction:
 
 
 def step_function(
-    target: FiniteMetricSpace,
-    breakpoints: Sequence,
-    values: Sequence[str],
-    mode: Mode = EXACT,
+    target: FiniteMetricSpace, breakpoints: Sequence, values: Sequence[str]
 ) -> StepFunction:
-    """Validate and canonicalize a step function.
+    """Validate and canonicalize a step function, in the target's mode.
 
     Breakpoints must start at 0, end at 1 and strictly increase; values must
     be points of the target, one per cell.  Adjacent cells with equal values
     are merged, so two representations of the same function compare equal.
     """
-    bps = [mode.convert(t) for t in breakpoints]
+    bps = [target.mode.convert(t) for t in breakpoints]
     if len(bps) < 2:
         raise BadParameters("need at least the endpoints 0 and 1")
     if bps[0] != 0 or bps[-1] != 1:
@@ -75,9 +72,9 @@ def step_function(
     return StepFunction(target, tuple(merged_bps), tuple(merged_vals))
 
 
-def dirac_const(target: FiniteMetricSpace, point: str, mode: Mode = EXACT) -> StepFunction:
+def dirac_const(target: FiniteMetricSpace, point: str) -> StepFunction:
     """The constant function at ``point`` — the isometric embedding of the target."""
-    return step_function(target, (0, 1), (point,), mode)
+    return step_function(target, (0, 1), (point,))
 
 
 def refine(f: StepFunction, g: StepFunction) -> tuple[tuple[Num, ...], tuple[str, ...], tuple[str, ...]]:
@@ -96,26 +93,26 @@ def refine(f: StepFunction, g: StepFunction) -> tuple[tuple[Num, ...], tuple[str
     return tuple(cuts), tuple(fv), tuple(gv)
 
 
-def integral_metric(f: StepFunction, g: StepFunction, mode: Mode = EXACT) -> Num:
+def integral_metric(f: StepFunction, g: StepFunction) -> Num:
     """Integral over [0, 1] of the pointwise target distance."""
     if f.target != g.target:
         raise TargetMismatch("both functions must share the target space")
     cuts, fv, gv = refine(f, g)
-    total = mode.zero
+    total = f.target.mode.zero
     for i in range(len(fv)):
         if fv[i] != gv[i]:
             total += (cuts[i + 1] - cuts[i]) * f.target.distance(fv[i], gv[i])
     return total
 
 
-def compose_pushforward(f: MetricMap, u: StepFunction, mode: Mode = EXACT) -> StepFunction:
+def compose_pushforward(f: MetricMap, u: StepFunction) -> StepFunction:
     """Pushforward of a step function along a map: compose values cellwise."""
     if u.target != f.domain:
         raise TargetMismatch("the step function must land in the map's domain")
-    return step_function(f.codomain, u.breakpoints, tuple(f(v) for v in u.values), mode)
+    return step_function(f.codomain, u.breakpoints, tuple(f(v) for v in u.values))
 
 
-def phi_n_witness(a: str, n: int, f: StepFunction, mode: Mode = EXACT) -> StepFunction:
+def phi_n_witness(a: str, n: int, f: StepFunction) -> StepFunction:
     """Replace ``f`` by ``a`` on the initial cell [0, 1/n).
 
     The result is within ``diameter/n`` of ``f``, always passes through ``a``,
@@ -125,9 +122,10 @@ def phi_n_witness(a: str, n: int, f: StepFunction, mode: Mode = EXACT) -> StepFu
         raise BadN(f"head length must be a positive integer, got {n!r}")
     if a not in f.target:
         raise UnknownPoint(f"{a!r} is not a point of the target")
+    mode = f.target.mode
     cut = Fraction(1, n) if mode.is_exact else 1.0 / n
     if cut >= 1:
-        return dirac_const(f.target, a, mode)
+        return dirac_const(f.target, a)
     bps: list[Num] = [mode.zero, cut]
     vals: list[str] = [a]
     for i, v in enumerate(f.values):
@@ -135,10 +133,10 @@ def phi_n_witness(a: str, n: int, f: StepFunction, mode: Mode = EXACT) -> StepFu
         if right > cut:
             bps.append(right)
             vals.append(v)
-    return step_function(f.target, bps, vals, mode)
+    return step_function(f.target, bps, vals)
 
 
-def select_preimage(f: MetricMap, v: StepFunction, mode: Mode = EXACT) -> StepFunction:
+def select_preimage(f: MetricMap, v: StepFunction) -> StepFunction:
     """Pull a step function back through ``f`` by the least-index preimage.
 
     Each cell value is replaced by its earliest preimage in domain point
@@ -156,7 +154,7 @@ def select_preimage(f: MetricMap, v: StepFunction, mode: Mode = EXACT) -> StepFu
         if val not in first_preimage:
             raise ValueOutsideImage(i, val)
         pulled.append(first_preimage[val])
-    return step_function(f.domain, v.breakpoints, pulled, mode)
+    return step_function(f.domain, v.breakpoints, pulled)
 
 
 def step_diameter(target: FiniteMetricSpace) -> Num:

@@ -68,6 +68,7 @@ from .measures import (
 from .numbers import EXACT, Mode, format_number as _fmt
 from .scheme import (
     build_finite_fixture,
+    check_fixture_sizes,
     decompose_automorphism,
     extend_map,
     extend_metric,
@@ -129,6 +130,7 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        check_fixture_sizes(self.n, self.k)
 
     def as_dict(self) -> dict:
         out = {
@@ -278,7 +280,8 @@ class _Check:
 
     def run(self, cfg: RunConfig) -> list[CheckRecord]:
         records = [CheckRecord(name, tag) for name, tag in self.records]
-        # setup errors (a fixture that n and k cannot build) end the whole run
+        # a setup error ends the whole run; RunConfig has already rejected
+        # the n and k that no fixture can be built from
         extra = () if self.setup is None else (self.setup(cfg),)
         try:
             if self.trials is None:
@@ -362,7 +365,7 @@ def _random_anchor(rng, mode: Mode, trial: int) -> FiniteMetricSpace | None:
     if trial % 3 != 2:
         return None
     raw = generate.random_space(rng, rng.randint(2, 3), prefix="ω:a", mode=mode)
-    return generate.normalize_diameter(raw, mode)
+    return generate.normalize_diameter(raw)
 
 
 @check("metric", "metric:glue-blocks", ("glue-restriction-and-cross", "(Λ4)"),
@@ -370,7 +373,7 @@ def _random_anchor(rng, mode: Mode, trial: int) -> FiniteMetricSpace | None:
 def _check_glue_blocks(rec, trial, rng, mode, inject_defect):
     space = generate.random_space(rng, rng.randint(1, 5), mode=mode)
     anchor = _random_anchor(rng, mode, trial)
-    glued = glue_space(space, anchor, mode)
+    glued = glue_space(space, anchor)
     anc = anchor if anchor is not None else default_anchor(mode)
     n, m = len(space.points), len(anc.points)
     cross = max(diameter(space), mode.one)
@@ -415,7 +418,7 @@ def _check_glue_blocks(rec, trial, rng, mode, inject_defect):
 @check("metric", "metric:glue-diameter", ("glue-diameter", "(i)"))
 def _check_glue_diameter(rec, trial, rng, mode):
     space = generate.random_space(rng, rng.randint(1, 6), mode=mode)
-    glued = glue_space(space, _random_anchor(rng, mode, trial), mode)
+    glued = glue_space(space, _random_anchor(rng, mode, trial))
     expected = max(diameter(space), mode.one)
     actual = diameter(glued)
     if not mode.eq(actual, expected):
@@ -429,11 +432,11 @@ def _check_glue_functor_laws(rec, trial, rng, mode):
     c = generate.random_space(rng, rng.randint(1, 4), prefix="c", mode=mode)
     f = generate.random_map(rng, a, b)
     g = generate.random_map(rng, b, c)
-    if glue_map(identity_map(a), None, mode) != identity_map(glue_space(a, None, mode)):
+    if glue_map(identity_map(a)) != identity_map(glue_space(a)):
         rec.fail(trial, law="identity", space=list(a.points))
         return
-    lhs = glue_map(compose(g, f), None, mode)
-    rhs = compose(glue_map(g, None, mode), glue_map(f, None, mode))
+    lhs = glue_map(compose(g, f))
+    rhs = compose(glue_map(g), glue_map(f))
     if lhs != rhs:
         rec.fail(trial, law="composition", domain=list(a.points))
 
@@ -443,7 +446,7 @@ def _check_glue_naturality(rec, trial, rng, mode):
     a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
     b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
     f = generate.random_map(rng, a, b)
-    gf = glue_map(f, None, mode)
+    gf = glue_map(f)
     for p in a.points:
         if gf(p) != f(p):
             rec.fail(trial, point=p, expected=f(p), actual=gf(p))
@@ -483,7 +486,7 @@ def _check_glue_sup_isometry(rec, trial, rng, mode):
     f = generate.random_map(rng, a, b)
     g = generate.random_map(rng, a, b)
     plain = sup_distance(f, g)
-    glued = sup_distance(glue_map(f, None, mode), glue_map(g, None, mode))
+    glued = sup_distance(glue_map(f), glue_map(g))
     if not mode.eq(plain, glued):
         rec.fail(trial, plain=_fmt(plain), glued=_fmt(glued))
 
@@ -497,8 +500,8 @@ def _check_mass_conservation(rec, trial, rng, mode):
     a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
     b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
     f = generate.random_map(rng, a, b)
-    mu = generate.random_measure(rng, a, mode)
-    nu = pushforward(f, mu, mode)
+    mu = generate.random_measure(rng, a)
+    nu = pushforward(f, mu)
     total = sum((w for _, w in nu.weights), mode.zero)
     if not mode.eq(total, mode.one):
         rec.fail(trial, total=_fmt(total))
@@ -513,13 +516,13 @@ def _check_push_functor_laws(rec, trial, rng, mode):
     c = generate.random_space(rng, rng.randint(1, 4), prefix="c", mode=mode)
     f = generate.random_map(rng, a, b)
     g = generate.random_map(rng, b, c)
-    mu = generate.random_measure(rng, a, mode)
-    if not measures_equal(pushforward(identity_map(a), mu, mode), mu, mode):
+    mu = generate.random_measure(rng, a)
+    if not measures_equal(pushforward(identity_map(a), mu), mu):
         rec.fail(trial, law="identity")
         return
-    lhs = pushforward(compose(g, f), mu, mode)
-    rhs = pushforward(g, pushforward(f, mu, mode), mode)
-    if not measures_equal(lhs, rhs, mode):
+    lhs = pushforward(compose(g, f), mu)
+    rhs = pushforward(g, pushforward(f, mu))
+    if not measures_equal(lhs, rhs):
         rec.fail(trial, law="composition")
 
 
@@ -529,9 +532,7 @@ def _check_dirac_naturality(rec, trial, rng, mode):
     b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
     f = generate.random_map(rng, a, b)
     for p in a.points:
-        if not measures_equal(
-            pushforward(f, dirac(a, p, mode), mode), dirac(b, f(p), mode), mode
-        ):
+        if not measures_equal(pushforward(f, dirac(a, p)), dirac(b, f(p))):
             rec.fail(trial, point=p)
             break
 
@@ -541,14 +542,12 @@ def _check_affinity(rec, trial, rng, mode):
     a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
     b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
     f = generate.random_map(rng, a, b)
-    mu = generate.random_measure(rng, a, mode)
-    nu = generate.random_measure(rng, a, mode)
+    mu = generate.random_measure(rng, a)
+    nu = generate.random_measure(rng, a)
     t = Fraction(rng.randint(0, 10), 10)
-    lhs = pushforward(f, convex_combination(t, mu, nu, mode), mode)
-    rhs = convex_combination(
-        t, pushforward(f, mu, mode), pushforward(f, nu, mode), mode
-    )
-    if not measures_equal(lhs, rhs, mode):
+    lhs = pushforward(f, convex_combination(t, mu, nu))
+    rhs = convex_combination(t, pushforward(f, mu), pushforward(f, nu))
+    if not measures_equal(lhs, rhs):
         rec.fail(trial, coefficient=_fmt(mode.convert(t)))
 
 
@@ -557,12 +556,12 @@ def _check_change_of_variables(rec, trial, rng, mode):
     a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
     b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
     f = generate.random_map(rng, a, b)
-    mu = generate.random_measure(rng, a, mode)
+    mu = generate.random_measure(rng, a)
     g = {
         q: mode.convert(Fraction(rng.randint(-20, 20), rng.randint(1, 5)))
         for q in b.points
     }
-    lhs, rhs = change_of_variables_check(f, mu, g, mode)
+    lhs, rhs = change_of_variables_check(f, mu, g)
     if not mode.eq(lhs, rhs):
         rec.fail(trial, lhs=_fmt(lhs), rhs=_fmt(rhs))
 
@@ -573,17 +572,15 @@ def _check_image_characterization(rec, trial, rng, mode):
     b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
     f = generate.random_map(rng, a, b)
     if trial % 2 == 0:
-        nu = pushforward(f, generate.random_measure(rng, a, mode), mode)
+        nu = pushforward(f, generate.random_measure(rng, a))
     else:
-        nu = generate.random_measure(rng, b, mode)
-    witness = preimage_measure(f, nu, mode)
-    claimed = in_image(f, nu, mode)
+        nu = generate.random_measure(rng, b)
+    witness = preimage_measure(f, nu)
+    claimed = in_image(f, nu)
     if claimed != (witness is not None):
         rec.fail(trial, in_image=claimed, witness_found=witness is not None)
         return
-    if witness is not None and not measures_equal(
-        pushforward(f, witness, mode), nu, mode
-    ):
+    if witness is not None and not measures_equal(pushforward(f, witness), nu):
         rec.fail(trial, round_trip="pushforward of witness differs")
 
 
@@ -592,7 +589,7 @@ def _check_injectivity_transfer(rec, trial, rng, mode):
     a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
     b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
     f = generate.random_map(rng, a, b)
-    if not injectivity_transfer_check(f, mode):
+    if not injectivity_transfer_check(f):
         rec.fail(trial, map=f.as_dict())
 
 
@@ -602,7 +599,7 @@ def _check_surjectivity_transfer(rec, trial, rng, mode):
     b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
     f = generate.random_map(rng, a, b)
     surjective = is_surjective(f)
-    dirac_hits = all(in_image(f, dirac(b, q, mode), mode) for q in b.points)
+    dirac_hits = all(in_image(f, dirac(b, q)) for q in b.points)
     if surjective != dirac_hits:
         rec.fail(trial, surjective=surjective, every_dirac_hit=dirac_hits)
 
@@ -615,10 +612,10 @@ def _check_surjectivity_transfer(rec, trial, rng, mode):
 def _check_duality_gap(rec, trial, rng, mode):
     size = 2 + trial % 7
     space = generate.random_space(rng, size, mode=mode)
-    mu = generate.random_measure(rng, space, mode)
-    nu = generate.random_measure(rng, space, mode)
-    dual, potential = kantorovich_dual(mu, nu, mode)
-    primal, plan = kantorovich_primal(mu, nu, mode)
+    mu = generate.random_measure(rng, space)
+    nu = generate.random_measure(rng, space)
+    dual, potential = kantorovich_dual(mu, nu)
+    primal, plan = kantorovich_primal(mu, nu)
     if not mode.eq(primal - dual, mode.zero):
         rec.fail(trial, gap=_fmt(primal - dual), size=str(size))
         return
@@ -633,7 +630,7 @@ def _check_duality_gap(rec, trial, rng, mode):
 def _check_dirac_isometry(rec, trial, rng, mode):
     space = generate.random_space(rng, rng.randint(2, 6), mode=mode)
     p, q = rng.sample(space.points, 2)
-    value = kantorovich(dirac(space, p, mode), dirac(space, q, mode), mode)
+    value = kantorovich(dirac(space, p), dirac(space, q))
     if not mode.eq(value, space.distance(p, q)):
         rec.fail(trial, pair=[p, q], kantorovich=_fmt(value),
                  distance=_fmt(space.distance(p, q)))
@@ -643,13 +640,13 @@ def _check_dirac_isometry(rec, trial, rng, mode):
        trials=_half_trials)
 def _check_diameter_preservation(rec, trial, rng, mode):
     space = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-    dirac_max, diam = measure_diameter_check(space, mode)
+    dirac_max, diam = measure_diameter_check(space)
     if not mode.eq(dirac_max, diam):
         rec.fail(trial, dirac_max=_fmt(dirac_max), diameter=_fmt(diam))
         return
-    mu = generate.random_measure(rng, space, mode)
-    nu = generate.random_measure(rng, space, mode)
-    value = kantorovich(mu, nu, mode)
+    mu = generate.random_measure(rng, space)
+    nu = generate.random_measure(rng, space)
+    value = kantorovich(mu, nu)
     if not mode.leq(value, diam):
         rec.fail(trial, sampled=_fmt(value), diameter=_fmt(diam))
 
@@ -661,8 +658,8 @@ def _check_map_isometry(rec, trial, rng, mode):
     b = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
     phi = generate.random_map(rng, a, b)
     psi = generate.random_map(rng, a, b)
-    sampled = [generate.random_measure(rng, a, mode) for _ in range(2)]
-    dirac_max, bound = map_isometry_check(phi, psi, sampled, mode)
+    sampled = [generate.random_measure(rng, a) for _ in range(2)]
+    dirac_max, bound = map_isometry_check(phi, psi, sampled)
     if not mode.eq(dirac_max, bound):
         rec.fail(trial, dirac_max=_fmt(dirac_max), sup_distance=_fmt(bound))
 
@@ -671,21 +668,21 @@ def _check_map_isometry(rec, trial, rng, mode):
        trials=_half_trials)
 def _check_kantorovich_axioms(rec, trial, rng, mode):
     space = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-    mu = generate.random_measure(rng, space, mode)
-    nu = generate.random_measure(rng, space, mode)
-    lam = generate.random_measure(rng, space, mode)
-    if not mode.is_zero(kantorovich(mu, mu, mode)):
+    mu = generate.random_measure(rng, space)
+    nu = generate.random_measure(rng, space)
+    lam = generate.random_measure(rng, space)
+    if not mode.is_zero(kantorovich(mu, mu)):
         rec.fail(trial, law="identity")
         return
-    if mode.is_exact and mu != nu and not kantorovich(mu, nu, mode) > 0:
+    if mode.is_exact and mu != nu and not kantorovich(mu, nu) > 0:
         rec.fail(trial, law="positivity")
         return
-    if not mode.eq(kantorovich(mu, nu, mode), kantorovich(nu, mu, mode)):
+    if not mode.eq(kantorovich(mu, nu), kantorovich(nu, mu)):
         rec.fail(trial, law="symmetry")
         return
     if not mode.leq(
-        kantorovich(mu, lam, mode),
-        kantorovich(mu, nu, mode) + kantorovich(nu, lam, mode),
+        kantorovich(mu, lam),
+        kantorovich(mu, nu) + kantorovich(nu, lam),
     ):
         rec.fail(trial, law="triangle")
 
@@ -694,13 +691,13 @@ def _check_kantorovich_axioms(rec, trial, rng, mode):
        trials=_half_trials)
 def _check_certificates(rec, trial, rng, mode):
     space = generate.random_space(rng, rng.randint(2, 6), mode=mode)
-    mu = generate.random_measure(rng, space, mode)
-    nu = generate.random_measure(rng, space, mode)
-    _, potential = kantorovich_dual(mu, nu, mode)
-    _, plan = kantorovich_primal(mu, nu, mode)
+    mu = generate.random_measure(rng, space)
+    nu = generate.random_measure(rng, space)
+    _, potential = kantorovich_dual(mu, nu)
+    _, plan = kantorovich_primal(mu, nu)
     try:
-        lipschitz_potential(space, potential.as_dict(), mode)
-        transport_plan(mu, nu, plan.matrix, mode)
+        lipschitz_potential(space, potential.as_dict())
+        transport_plan(mu, nu, plan.matrix)
     except ZfunError as exc:
         rec.fail(trial, rejected=str(exc))
         return
@@ -716,11 +713,9 @@ def _check_convergence_bound(rec, trial, rng, mode):
     b = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
     phi = generate.random_map(rng, a, b)
     psi = generate.random_map(rng, a, b)
-    bound = mode.convert(sup_distance(phi, psi))
-    mu = generate.random_measure(rng, a, mode)
-    value = kantorovich(
-        pushforward(phi, mu, mode), pushforward(psi, mu, mode), mode
-    )
+    bound = sup_distance(phi, psi)
+    mu = generate.random_measure(rng, a)
+    value = kantorovich(pushforward(phi, mu), pushforward(psi, mu))
     if not mode.leq(value, bound):
         rec.fail(trial, pushed=_fmt(value), bound=_fmt(bound))
 
@@ -973,21 +968,21 @@ def _check_decomposition(rec, cfg, ctx):
 @check("step", "step:axioms", ("integral-metric-axioms", "plumbing"))
 def _check_integral_axioms(rec, trial, rng, mode):
     target = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-    f = generate.random_step_function(rng, target, mode=mode)
-    g = generate.random_step_function(rng, target, mode=mode)
-    h = generate.random_step_function(rng, target, mode=mode)
-    if not mode.is_zero(integral_metric(f, f, mode)):
+    f = generate.random_step_function(rng, target)
+    g = generate.random_step_function(rng, target)
+    h = generate.random_step_function(rng, target)
+    if not mode.is_zero(integral_metric(f, f)):
         rec.fail(trial, law="identity")
         return
-    if mode.is_exact and f != g and not integral_metric(f, g, mode) > 0:
+    if mode.is_exact and f != g and not integral_metric(f, g) > 0:
         rec.fail(trial, law="positivity")
         return
-    if not mode.eq(integral_metric(f, g, mode), integral_metric(g, f, mode)):
+    if not mode.eq(integral_metric(f, g), integral_metric(g, f)):
         rec.fail(trial, law="symmetry")
         return
     if not mode.leq(
-        integral_metric(f, h, mode),
-        integral_metric(f, g, mode) + integral_metric(g, h, mode),
+        integral_metric(f, h),
+        integral_metric(f, g) + integral_metric(g, h),
     ):
         rec.fail(trial, law="triangle")
 
@@ -996,9 +991,7 @@ def _check_integral_axioms(rec, trial, rng, mode):
 def _check_constant_isometry(rec, trial, rng, mode):
     target = generate.random_space(rng, rng.randint(2, 6), mode=mode)
     p, q = rng.sample(target.points, 2)
-    value = integral_metric(
-        dirac_const(target, p, mode), dirac_const(target, q, mode), mode
-    )
+    value = integral_metric(dirac_const(target, p), dirac_const(target, q))
     if not mode.eq(value, target.distance(p, q)):
         rec.fail(trial, pair=[p, q], integral=_fmt(value),
                  distance=_fmt(target.distance(p, q)))
@@ -1011,12 +1004,12 @@ def _check_step_functor_laws(rec, trial, rng, mode):
     c = generate.random_space(rng, rng.randint(1, 4), prefix="c", mode=mode)
     f = generate.random_map(rng, a, b)
     g = generate.random_map(rng, b, c)
-    u = generate.random_step_function(rng, a, mode=mode)
-    if compose_pushforward(identity_map(a), u, mode) != u:
+    u = generate.random_step_function(rng, a)
+    if compose_pushforward(identity_map(a), u) != u:
         rec.fail(trial, law="identity")
         return
-    lhs = compose_pushforward(compose(g, f), u, mode)
-    rhs = compose_pushforward(g, compose_pushforward(f, u, mode), mode)
+    lhs = compose_pushforward(compose(g, f), u)
+    rhs = compose_pushforward(g, compose_pushforward(f, u))
     if lhs != rhs:
         rec.fail(trial, law="composition")
 
@@ -1027,8 +1020,8 @@ def _check_step_naturality(rec, trial, rng, mode):
     b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
     f = generate.random_map(rng, a, b)
     x = rng.choice(a.points)
-    lhs = compose_pushforward(f, dirac_const(a, x, mode), mode)
-    if lhs != dirac_const(b, f(x), mode):
+    lhs = compose_pushforward(f, dirac_const(a, x))
+    if lhs != dirac_const(b, f(x)):
         rec.fail(trial, point=x)
 
 
@@ -1038,19 +1031,16 @@ def _check_step_sup_bound(rec, trial, rng, mode):
     b = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
     phi = generate.random_map(rng, a, b)
     psi = generate.random_map(rng, a, b)
-    bound = mode.convert(sup_distance(phi, psi))
-    u = generate.random_step_function(rng, a, mode=mode)
-    value = integral_metric(
-        compose_pushforward(phi, u, mode), compose_pushforward(psi, u, mode), mode
-    )
+    bound = sup_distance(phi, psi)
+    u = generate.random_step_function(rng, a)
+    value = integral_metric(compose_pushforward(phi, u), compose_pushforward(psi, u))
     if not mode.leq(value, bound):
         rec.fail(trial, pushed=_fmt(value), bound=_fmt(bound))
         return
     attained = max(
         integral_metric(
-            compose_pushforward(phi, dirac_const(a, x, mode), mode),
-            compose_pushforward(psi, dirac_const(a, x, mode), mode),
-            mode,
+            compose_pushforward(phi, dirac_const(a, x)),
+            compose_pushforward(psi, dirac_const(a, x)),
         )
         for x in a.points
     )
@@ -1061,27 +1051,27 @@ def _check_step_sup_bound(rec, trial, rng, mode):
 @check("step", "step:head-witness", ("head-witness", "(g)"))
 def _check_head_witness(rec, trial, rng, mode):
     target = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-    f = generate.random_step_function(rng, target, mode=mode)
+    f = generate.random_step_function(rng, target)
     a = rng.choice(target.points)
     n = rng.randint(1, 64)
-    witness = phi_n_witness(a, n, f, mode)
+    witness = phi_n_witness(a, n, f)
     bound = diameter(target) * (Fraction(1, n) if mode.is_exact else 1.0 / n)
-    if not mode.leq(integral_metric(witness, f, mode), bound):
-        rec.fail(trial, distance=_fmt(integral_metric(witness, f, mode)),
+    if not mode.leq(integral_metric(witness, f), bound):
+        rec.fail(trial, distance=_fmt(integral_metric(witness, f)),
                  bound=_fmt(bound))
         return
     if witness.values[0] != a:
         rec.fail(trial, head=witness.values[0], expected=a)
         return
     others = tuple(p for p in target.points if p != a)
-    g = generate.random_step_function(rng, target, mode=mode)
+    g = generate.random_step_function(rng, target)
     avoiding = step_function(
-        target, g.breakpoints, tuple(rng.choice(others) for _ in g.values), mode
+        target, g.breakpoints, tuple(rng.choice(others) for _ in g.values)
     )
     min_off = min(target.distance(a, b) for b in others)
     head = Fraction(1, n) if mode.is_exact else 1.0 / n
-    if not mode.leq(head * min_off, integral_metric(witness, avoiding, mode)):
-        rec.fail(trial, separation=_fmt(integral_metric(witness, avoiding, mode)),
+    if not mode.leq(head * min_off, integral_metric(witness, avoiding)):
+        rec.fail(trial, separation=_fmt(integral_metric(witness, avoiding)),
                  lower_bound=_fmt(head * min_off))
 
 
@@ -1090,10 +1080,10 @@ def _check_selection_round_trip(rec, trial, rng, mode):
     a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
     b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
     f = generate.random_map(rng, a, b)
-    u = generate.random_step_function(rng, a, mode=mode)
-    v = compose_pushforward(f, u, mode)
-    w = select_preimage(f, v, mode)
-    if compose_pushforward(f, w, mode) != v:
+    u = generate.random_step_function(rng, a)
+    v = compose_pushforward(f, u)
+    w = select_preimage(f, v)
+    if compose_pushforward(f, w) != v:
         rec.fail(trial, law="round trip")
         return
     first = {}
@@ -1106,17 +1096,15 @@ def _check_selection_round_trip(rec, trial, rng, mode):
 @check("step", "step:diameter", ("step-diameter", "(i)"))
 def _check_step_diameter(rec, trial, rng, mode):
     target = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-    diam = mode.convert(diameter(target))
-    f = generate.random_step_function(rng, target, mode=mode)
-    g = generate.random_step_function(rng, target, mode=mode)
-    if not mode.leq(integral_metric(f, g, mode), diam):
-        rec.fail(trial, distance=_fmt(integral_metric(f, g, mode)),
+    diam = diameter(target)
+    f = generate.random_step_function(rng, target)
+    g = generate.random_step_function(rng, target)
+    if not mode.leq(integral_metric(f, g), diam):
+        rec.fail(trial, distance=_fmt(integral_metric(f, g)),
                  diameter=_fmt(diam))
         return
     attained = max(
-        integral_metric(
-            dirac_const(target, p, mode), dirac_const(target, q, mode), mode
-        )
+        integral_metric(dirac_const(target, p), dirac_const(target, q))
         for p in target.points
         for q in target.points
     )

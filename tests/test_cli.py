@@ -266,6 +266,26 @@ class TestExtend:
         proc = run_cli("extend", "phi.json", cwd=tmp_path)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "fixture, key",
+        [
+            ({"n": "abc", "k": 2}, "n"),
+            ({"n": 4.7, "k": 2}, "n"),
+            ({"n": 4, "k": [2]}, "k"),
+            ({"n": 4, "k": True}, "k"),
+            ({"n": 4, "k": 2, "seed": "s"}, "seed"),
+            ({"n": 4, "k": 2, "h_seed": "x"}, "h_seed"),
+        ],
+        ids=["n-text", "n-fraction", "k-list", "k-bool", "seed", "h_seed"],
+    )
+    def test_non_integer_fixture_field_exits_two(self, tmp_path, fixture, key):
+        self.setup_files(tmp_path)
+        (tmp_path / "fixture.json").write_text(json.dumps(fixture))
+        proc = run_cli("extend", "phi.json", "--fixture", "fixture.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: fixture {key!r} must be an integer")
+        assert len(proc.stderr.splitlines()) == 1
+
 
 class TestCheck:
     def test_small_run_passes(self, tmp_path):
@@ -309,6 +329,14 @@ class TestCheck:
         payload = json.loads(proc.stdout)
         failing = [r for r in payload["records"] if r["failures"]]
         assert [r["tag"] for r in failing] == ["(Λ4)"]
+
+    @pytest.mark.parametrize("suite", ["metric", "scheme"])
+    def test_impossible_fixture_sizes_exit_two(self, tmp_path, suite):
+        proc = run_cli("check", suite, "--n", "4", "--k", "3", "--trials", "1",
+                       cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: need 1 <= k <= n/2, got n=4, k=3\n"
+        assert proc.stdout == ""
 
     def test_unknown_suite_exits_two(self, tmp_path):
         proc = run_cli("check", "nonsense", cwd=tmp_path)

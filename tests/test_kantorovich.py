@@ -149,9 +149,9 @@ class TestAgainstBruteForce:
             exact_space = random_space(rng, 2 + trial % 5)
             floats = [[float(v) for v in row] for row in exact_space.dist]
             fspace = validate_space(exact_space.points, floats, mode)
-            mu = random_measure(rng, fspace, mode)
-            nu = random_measure(rng, fspace, mode)
-            assert abs(duality_gap(mu, nu, mode)) <= 1e-9
+            mu = random_measure(rng, fspace)
+            nu = random_measure(rng, fspace)
+            assert abs(duality_gap(mu, nu)) <= 1e-9
 
 
 class TestMetricAxioms:
@@ -226,6 +226,15 @@ class TestValidatorsAndErrors:
     def test_space_mismatch(self):
         with pytest.raises(SpaceMismatch):
             kantorovich(dirac(space_ab(), "a"), dirac(space_abc(), "a"))
+
+    def test_exact_and_float_objects_do_not_mix(self):
+        exact = space_ab()
+        floating = validate_space(exact.points, exact.dist, float_mode())
+        with pytest.raises(SpaceMismatch):
+            kantorovich(dirac(exact, "a"), dirac(floating, "b"))
+        f = metric_map(floating, floating, {"a": "b", "b": "a"})
+        with pytest.raises(SpaceMismatch):
+            pushforward(f, dirac(exact, "a"))
 
     def test_lipschitz_potential_validator(self):
         space = space_ab()

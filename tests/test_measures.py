@@ -22,11 +22,18 @@ from zfun import (
     preimage_measure,
     prob_measure,
     pushforward,
+    validate_space,
 )
 from zfun.generate import random_map, random_measure, random_space, rng_for
 from zfun.measures import dirac_collision_witness, injectivity_transfer_check
 
 from helpers import all_maps, grid_measures, space_ab, space_abc
+
+
+def float_space_ab():
+    """``space_ab()`` validated in float mode."""
+    space = space_ab()
+    return validate_space(space.points, space.dist, float_mode())
 
 
 class TestProbMeasure:
@@ -49,15 +56,15 @@ class TestProbMeasure:
             prob_measure(space, {"a": "1/2", "z": "1/2"})
 
     def test_float_mode_renormalizes_and_records_drift(self):
-        space = space_ab()
-        mu = prob_measure(space, {"a": 0.5, "b": 0.5 + 1e-13}, float_mode())
+        space = float_space_ab()
+        mu = prob_measure(space, {"a": 0.5, "b": 0.5 + 1e-13})
         assert mu.drift == pytest.approx(1e-13, rel=0.5)
         assert sum(w for _, w in mu.weights) == 1.0
 
     def test_float_mode_rejects_larger_drift(self):
-        space = space_ab()
+        space = float_space_ab()
         with pytest.raises(InvalidWeights):
-            prob_measure(space, {"a": 0.5, "b": 0.51}, float_mode())
+            prob_measure(space, {"a": 0.5, "b": 0.51})
 
     def test_dirac(self):
         space = space_abc()
@@ -67,12 +74,10 @@ class TestProbMeasure:
             dirac(space, "z")
 
     def test_equality_ignores_drift(self):
-        space = space_ab()
-        exact_half = prob_measure(space, {"a": 0.5, "b": 0.5}, float_mode())
-        nudged = prob_measure(
-            space, {"a": 0.5 * (1 + 1e-13), "b": 0.5 * (1 + 1e-13)}, float_mode()
-        )
-        assert measures_equal(exact_half, nudged, float_mode())
+        space = float_space_ab()
+        exact_half = prob_measure(space, {"a": 0.5, "b": 0.5})
+        nudged = prob_measure(space, {"a": 0.5 * (1 + 1e-13), "b": 0.5 * (1 + 1e-13)})
+        assert measures_equal(exact_half, nudged)
 
 
 class TestPushforward:

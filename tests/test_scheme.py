@@ -12,6 +12,7 @@ from zfun import (
     InvalidMetric,
     NotInFamily,
     NotSetwiseInvariant,
+    SpaceMismatch,
     build_finite_fixture,
     compose,
     decompose_automorphism,
@@ -19,6 +20,7 @@ from zfun import (
     extend_map,
     extend_metric,
     extension_isometry_check,
+    float_mode,
     identity_map,
     image,
     is_bijective,
@@ -32,6 +34,7 @@ from zfun import (
     pointwise_fixing_bijections,
     subset_preserving_bijections,
     subspace,
+    validate_space,
 )
 from zfun.generate import random_map, random_space, rng_for
 
@@ -350,3 +353,36 @@ class TestChartIndependence:
         assert any(
             canonical.chart(m) != shuffled.chart(m) for m in canonical.family
         )
+
+
+class TestFloatTolerance:
+    """A fixture compares in the tolerance its spaces were validated with."""
+
+    MODE = float_mode(1e-3)
+    LABELS = ("x0", "x1", "x2", "x3")
+
+    def ambient(self):
+        # d(x1, x0) exceeds d(x0, x1) by 5e-4, within the 1e-3 tolerance
+        dist = [[1.0 if i != j else 0.0 for j in range(4)] for i in range(4)]
+        dist[1][0] = 1.0005
+        return validate_space(self.LABELS, dist, self.MODE)
+
+    def test_padding_and_metric_extension_keep_the_tolerance(self):
+        ctx = build_finite_fixture(4, 2, seed=0, mode=self.MODE, ambient=self.ambient())
+        member = ("x0", "x1")
+        padded = padded_space(ctx, member)
+        assert padded.mode == self.MODE
+        assert padded.distance("x1", "x0") == 1.0005
+        d = validate_space(member, [[0.0, 2.0], [2.0005, 0.0]], self.MODE)
+        extended = extend_metric(ctx, member, d)
+        assert extended.mode == self.MODE
+        assert extended.distance("x0", "x1") == 2.0
+        assert extended.distance("x1", "x0") == 2.0005
+
+    def test_exact_inputs_are_rejected(self):
+        ctx = build_finite_fixture(4, 2, seed=0, mode=self.MODE, ambient=self.ambient())
+        exact = random_space(rng_for(7, "exact-metric"), 2, labels=("x0", "x1"))
+        with pytest.raises(SpaceMismatch):
+            extend_metric(ctx, ("x0", "x1"), exact)
+        with pytest.raises(SpaceMismatch):
+            build_finite_fixture(4, 2, seed=0, ambient=self.ambient())

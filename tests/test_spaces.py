@@ -11,6 +11,7 @@ from zfun import (
     BadParameters,
     DomainMismatch,
     EXACT,
+    SpaceMismatch,
     UnknownPoint,
     compose,
     default_anchor,
@@ -160,6 +161,35 @@ class TestSpaceBasics:
 
     def test_diameter_of_square(self):
         assert diameter(space_square()) == Fraction(2)
+
+
+class TestModes:
+    def float_ab(self):
+        return validate_space(["a", "b"], [["0", "3/2"], ["3/2", "0"]], float_mode())
+
+    def test_space_remembers_its_mode(self):
+        assert space_ab().mode == EXACT
+        assert self.float_ab().mode == float_mode()
+        assert subspace(self.float_ab(), ["a"]).mode == float_mode()
+        assert glue_space(self.float_ab()).mode == float_mode()
+
+    def test_mode_takes_part_in_equality(self):
+        assert space_ab() != self.float_ab()
+        loose = validate_space(["a", "b"], [["0", "3/2"], ["3/2", "0"]], float_mode(1e-3))
+        assert loose != self.float_ab()
+
+    def test_diameter_is_in_the_space_mode(self):
+        assert isinstance(diameter(subspace(space_ab(), ["a"])), Fraction)
+        single = diameter(subspace(self.float_ab(), ["a"]))
+        assert single == 0.0 and isinstance(single, float)
+
+    def test_maps_and_gluing_do_not_mix_modes(self):
+        with pytest.raises(DomainMismatch):
+            metric_map(space_ab(), self.float_ab(), {"a": "a", "b": "b"})
+        with pytest.raises(SpaceMismatch):
+            glue_space(space_ab(), default_anchor(float_mode()))
+        with pytest.raises(SpaceMismatch):
+            glue_metric(self.float_ab(), default_anchor())
 
 
 class TestMetricMap:

@@ -2,11 +2,21 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from zfun import EXACT, Report, RunConfig, float_mode, run_suite, suites, validate_space
+from zfun import (
+    EXACT,
+    BadParameters,
+    Report,
+    RunConfig,
+    float_mode,
+    run_suite,
+    suites,
+    validate_space,
+)
 from zfun.suites import (
     MAX_WITNESSES,
     SUITE_NAMES,
@@ -21,6 +31,18 @@ def small_cfg(**kw) -> RunConfig:
     args = {"mode": EXACT, "seed": 0, "trials": 20, "n": 4, "k": 2}
     args.update(kw)
     return RunConfig(**args)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("n, k", [(4, 3), (4, 0), (5, 3), (1, 1)])
+    def test_rejects_sizes_no_fixture_has(self, n, k):
+        message = f"need 1 <= k <= n/2, got n={n}, k={k}"
+        with pytest.raises(BadParameters, match=re.escape(message)):
+            RunConfig(n=n, k=k)
+
+    def test_accepts_the_boundary(self):
+        assert RunConfig(n=4, k=2).k == 2
+        assert RunConfig(n=2, k=1).n == 2
 
 
 class TestRunSuite:
