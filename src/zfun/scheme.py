@@ -256,11 +256,9 @@ def extend_metric(
         )
     mode = d.mode
     h = ctx.chart(key)
-    # pull back: distances between member labels, read through the chart
-    pulled = validate_space(
-        key,
-        [[d.distance(h[x], h[y]) for y in key] for x in key],
-        mode,
+    # pull back: a relabeling of the validated ``d``, so it is not re-validated
+    pulled = FiniteMetricSpace(
+        key, tuple(tuple(d.distance(h[x], h[y]) for y in key) for x in key), mode
     )
     padded = glue_space(pulled, ctx.pad)
     h_inv = ctx.chart_inverse(key)

@@ -227,3 +227,52 @@ def all_maps(domain: FiniteMetricSpace, codomain: FiniteMetricSpace):
     pts = domain.points
     for targets in itertools.product(codomain.points, repeat=len(pts)):
         yield metric_map(domain, codomain, dict(zip(pts, targets)))
+
+
+# ---------------------------------------------------------------------------
+# reference simplex on a Fraction tableau
+
+
+def reference_inequality_lp(c, rows, b, max_pivots=100_000):
+    """``max c.x : Ax <= b, x >= 0`` by Bland's rule on a plain Fraction tableau.
+
+    The textbook divide-by-the-pivot simplex, kept as an oracle for the exact
+    kernel in :mod:`zfun.simplexlp`: same pivot rule, none of its integer
+    scaling.  Returns ``(value, vertex)``, or ``None`` when the program is
+    unbounded.
+    """
+    n, m = len(c), len(rows)
+    tab = [
+        [Fraction(v) for v in rows[i]]
+        + [Fraction(int(j == i)) for j in range(m)]
+        + [Fraction(b[i])]
+        for i in range(m)
+    ]
+    tab.append([-Fraction(v) for v in c] + [Fraction(0)] * (m + 1))
+    basis = list(range(n, n + m))
+    for _ in range(max_pivots):
+        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
+        if enter is None:
+            x = [Fraction(0)] * n
+            for i, var in enumerate(basis):
+                if var < n:
+                    x[var] = tab[i][-1]
+            return tab[m][-1], x
+        leave, best = None, None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    leave, best = i, ratio
+        if leave is None:
+            return None
+        pivot = tab[leave][enter]
+        tab[leave] = [v / pivot for v in tab[leave]]
+        for i in range(m + 1):
+            factor = tab[i][enter]
+            if i != leave and factor != 0:
+                tab[i] = [v - factor * p for v, p in zip(tab[i], tab[leave])]
+        basis[leave] = enter
+    raise AssertionError("pivot budget exhausted")

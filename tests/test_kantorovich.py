@@ -142,6 +142,14 @@ class TestAgainstBruteForce:
             nu = random_measure(rng, space)
             assert duality_gap(mu, nu) == 0
 
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_duality_gap_zero_at_larger_sizes(self, n):
+        rng = rng_for(n, "gap-large")
+        space = random_space(rng, n)
+        mu = random_measure(rng, space, full_support=True)
+        nu = random_measure(rng, space, full_support=True)
+        assert duality_gap(mu, nu) == 0
+
     def test_float_mode_gap_within_tolerance(self):
         mode = float_mode()
         rng = rng_for(43, "float-gap")

@@ -1,5 +1,6 @@
 """Extension of maps and metrics from subset family members to the ambient space."""
 
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -167,6 +168,24 @@ class TestMetricExtension:
                 for y in key:
                     assert extended.distance(x, y) == d.distance(x, y)
             assert diameter(extended) == max(Fraction(1), diameter(d))
+
+    def test_two_axiom_scans_per_extension(self, monkeypatch):
+        # one scan in glue_space, one on the final ambient metric
+        ctx = build_finite_fixture(6, 3, seed=0)
+        key = ctx.family[4]
+        d = random_space(rng_for(7, "scan-count"), len(key), labels=key)
+        spaces = importlib.import_module("zfun.spaces")
+        scanned = []
+        scan = spaces.metric_violations
+
+        def counting(points, dist, mode):
+            scanned.append(len(points))
+            return scan(points, dist, mode)
+
+        monkeypatch.setattr(spaces, "metric_violations", counting)
+        extended = extend_metric(ctx, key, d)
+        assert scanned == [len(key) + len(ctx.pad), len(ctx.ambient)]
+        assert subspace(extended, key).dist == d.dist
 
     def test_wrong_point_set_rejected(self, ctx42):
         stranger = random_space(rng_for(5, "stranger"), 2, prefix="w")
