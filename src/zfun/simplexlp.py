@@ -5,16 +5,12 @@ so the all-slack basis is feasible and no phase-one is needed.  Pivoting uses
 Bland's rule (smallest eligible column; ratio ties broken by smallest basic
 variable), which is deterministic and provably cycle-free.
 
-Exact mode pivots on integers (Edmonds, J. Res. NBS 1967; Bareiss, Math.
-Comp. 1968).  Each row of ``A`` is scaled to integers once by the lcm of its
-denominators, the right-hand side column and ``c`` each by one common
-multiple; slack coefficients stay 1.  The integer tableau is then ``D`` times
-the rational one, ``D`` being the last pivot, and a pivot ``p`` turns every
-other entry ``v`` into ``(v*p - f*q) // D``, an exact division.  Positive
-scalings keep every reduced-cost sign and ratio order, so the pivots and the
-vertex are those of the rational tableau.  On a network matrix, such as the
-Kantorovich dual's ``[I; e_i - e_j]``, every basis has determinant ±1, so
-``D`` and every pivot stay 1 and the entries stay small.
+Exact mode pivots on integers (Edmonds 1967; Bareiss 1968).  The rows of
+``A``, the right-hand side column and ``c`` are scaled to integers once, and
+a pivot ``p`` turns every other entry ``v`` into ``(v*p - f*q) // D``, an
+exact division by the previous pivot ``D``.  Positive scalings keep Bland's
+pivots and vertex.  On a network matrix such as the Kantorovich dual's
+``[I; e_i - e_j]`` every basis has determinant ±1, so ``D`` stays 1.
 """
 
 from __future__ import annotations
@@ -40,8 +36,10 @@ def solve_inequality_lp(
     unbounded or the pivot budget is exhausted (neither can occur for the
     bounded programs built by this package).
     """
-    n, m = len(c), len(rows)
+    n = len(c)
+    m = len(rows)
     eps = mode.pivot_eps
+    zero = mode.zero
     for bi in b:
         if bi < -eps:
             raise BadParameters("right-hand side must be nonnegative")
@@ -51,39 +49,50 @@ def solve_inequality_lp(
         return _solve_integer(c, rows, b, max_pivots)
 
     # tableau: m constraint rows + objective row; columns: n vars, m slacks, rhs
-    zero = mode.zero
+    width = n + m + 1
     tab: list[list[Num]] = []
     for i in range(m):
         row = [mode.convert(v) for v in rows[i]]
         row += [mode.one if j == i else zero for j in range(m)]
         row.append(mode.convert(b[i]))
         tab.append(row)
-    tab.append([-mode.convert(v) for v in c] + [zero] * (m + 1))
+    obj = [-mode.convert(v) for v in c] + [zero] * m + [zero]
+    tab.append(obj)
     basis = list(range(n, n + m))
 
     for _ in range(max_pivots):
         # Bland: entering column = smallest index with a negative objective entry
-        enter = next((j for j in range(n + m) if tab[m][j] < -eps), -1)
+        enter = -1
+        for j in range(n + m):
+            if tab[m][j] < -eps:
+                enter = j
+                break
         if enter < 0:
-            value = {var: row[-1] for var, row in zip(basis, tab)}
-            return tab[m][-1], [value.get(j, zero) for j in range(n)]
+            x = [zero] * n
+            for i, var in enumerate(basis):
+                if var < n:
+                    x[var] = tab[i][width - 1]
+            return tab[m][width - 1], x
         # ratio test; ties -> smallest basic variable (Bland)
         leave = -1
         best: Num | None = None
         for i in range(m):
             a = tab[i][enter]
             if a > eps:
-                ratio = tab[i][-1] / a
+                ratio = tab[i][width - 1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave < 0:
             raise SolverFailure("linear program is unbounded")
         pivot = tab[leave][enter]
-        prow = tab[leave] = [v / pivot for v in tab[leave]]
+        tab[leave] = [v / pivot for v in tab[leave]]
         for i in range(m + 1):
+            if i == leave:
+                continue
             factor = tab[i][enter]
-            if i != leave and factor != 0:
+            if factor != 0:
+                prow = tab[leave]
                 tab[i] = [v - factor * p for v, p in zip(tab[i], prow)]
         basis[leave] = enter
     raise SolverFailure("pivot budget exhausted")
@@ -105,7 +114,6 @@ def _solve_integer(c, rows, b, max_pivots):
     tab.append(cost + [0] * (m + 1))
     basis = list(range(n, n + m))
     D = 1  # the last pivot: the integer tableau is D times the rational one
-
     for _ in range(max_pivots):
         enter = next((j for j in range(n + m) if tab[m][j] < 0), -1)
         if enter < 0:
@@ -124,10 +132,7 @@ def _solve_integer(c, rows, b, max_pivots):
             raise SolverFailure("linear program is unbounded")
         for i in range(m + 1):
             f = tab[i][enter]
-            if p == D == 1:  # always so on a network matrix
-                if f != 0 and i != leave:
-                    tab[i] = [v - f * q for v, q in zip(tab[i], tab[leave])]
-            elif i != leave:
+            if i != leave and (f or p != D):
                 tab[i] = [(v * p - f * q) // D for v, q in zip(tab[i], tab[leave])]
         D = p
         basis[leave] = enter

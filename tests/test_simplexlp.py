@@ -74,6 +74,16 @@ class TestAgainstReference:
         for c, rows, b in programs:
             assert solve(c, rows, b, EXACT) == reference_inequality_lp(c, rows, b)
 
+    def test_ratio_tie_goes_to_the_smaller_basic_variable(self):
+        # x0 enters first and leaves row 1, so row 1 holds x0 (index 0) and
+        # row 0 still holds its slack (index 4).  x1 enters next with ratio 1
+        # in both rows; Bland pivots on row 1, and the first row would lead
+        # to the other optimal vertex (0, 0, 1, 1).
+        c, rows, b = [1, 1, 2, 0], [[1, 1, 0, 1], [2, 1, 1, 0], [1, -1, 0, 2]], [1, 1, 2]
+        expected = (Fraction(2), [Fraction(0), Fraction(0), Fraction(1), Fraction(0)])
+        assert reference_inequality_lp(c, rows, b) == expected
+        assert solve_inequality_lp(c, rows, b, EXACT) == expected
+
     def test_unbounded_program_raises(self):
         # max x + y  s.t.  x - y <= 1: y grows without bound
         c, rows, b = [1, 1], [[1, -1]], [1]
