@@ -34,8 +34,8 @@ def _resolve(obj, base: Path | None):
         path = Path(obj)
         if base is not None and not path.is_absolute():
             path = base / path
-        return load_json(path), path.parent
-    return obj, base
+        return load_json(path)
+    return obj
 
 
 def _require_keys(obj, keys, what: str) -> None:
@@ -47,7 +47,7 @@ def _require_keys(obj, keys, what: str) -> None:
 
 
 def space_from_obj(obj, mode: Mode = EXACT, base: Path | None = None) -> FiniteMetricSpace:
-    obj, _ = _resolve(obj, base)
+    obj = _resolve(obj, base)
     _require_keys(obj, ("points", "dist"), "a space")
     points = obj["points"]
     dist = obj["dist"]
@@ -68,7 +68,7 @@ def load_space(path: str | Path, mode: Mode = EXACT) -> FiniteMetricSpace:
 
 
 def map_from_obj(obj, mode: Mode = EXACT, base: Path | None = None) -> MetricMap:
-    obj, _ = _resolve(obj, base)
+    obj = _resolve(obj, base)
     _require_keys(obj, ("domain", "codomain", "assignment"), "a map")
     domain = space_from_obj(obj["domain"], mode, base)
     codomain = space_from_obj(obj["codomain"], mode, base)
@@ -83,7 +83,7 @@ def load_map(path: str | Path, mode: Mode = EXACT) -> MetricMap:
 
 
 def measure_from_obj(obj, mode: Mode = EXACT, base: Path | None = None) -> ProbMeasure:
-    obj, _ = _resolve(obj, base)
+    obj = _resolve(obj, base)
     _require_keys(obj, ("space", "weights"), "a measure")
     space = space_from_obj(obj["space"], mode, base)
     weights = obj["weights"]

@@ -16,7 +16,6 @@ In exact mode both are exact optima of dual linear programs, so
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .measures import ProbMeasure, dirac, pushforward
 from .numbers import Num
-from .simplexlp import solve_inequality_lp
+from .simplexlp import MAX_PIVOTS, solve_inequality_lp
 from .spaces import FiniteMetricSpace, MetricMap, diameter, sup_distance
 
 
@@ -182,116 +181,90 @@ def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPo
 
 
 def _northwest_corner(supply, demand, eps):
+    """The starting basis: its cells, in walk order, are the keys of the flow."""
     m, n = len(supply), len(demand)
     a = list(supply)
     b = list(demand)
     flow: dict[tuple[int, int], Num] = {}
-    basis: list[tuple[int, int]] = []
     r = c = 0
     while True:
         t = a[r] if a[r] <= b[c] else b[c]
         flow[(r, c)] = t
-        basis.append((r, c))
         a[r] -= t
         b[c] -= t
         if r == m - 1 and c == n - 1:
-            return flow, basis
+            return flow
         if a[r] <= eps and r < m - 1:
             r += 1
         else:
             c += 1
 
 
-def _tree_potentials(basis, costs, m, n, zero):
-    rows_adj: list[list[int]] = [[] for _ in range(m)]
-    cols_adj: list[list[int]] = [[] for _ in range(n)]
-    for r, c in basis:
-        rows_adj[r].append(c)
-        cols_adj[c].append(r)
-    u: list[Num | None] = [None] * m
-    v: list[Num | None] = [None] * n
-    u[0] = zero
-    stack = [(True, 0)]
+def _basis_tree(flow, costs, m, n, zero):
+    """Potentials and parent links of the basis tree, walked from row 0.
+
+    Nodes ``0..m-1`` are the rows and ``m..m+n-1`` the columns, so a cell
+    ``(r, c)`` joins nodes ``r`` and ``m + c``.  The root's parent is -1.
+    """
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for r, c in flow:
+        adj[r].append(m + c)
+        adj[m + c].append(r)
+    pot: list[Num | None] = [None] * (m + n)
+    parent = [-1] * (m + n)
+    pot[0] = zero
+    stack = [0]
     while stack:
-        is_row, i = stack.pop()
-        if is_row:
-            for c in rows_adj[i]:
-                if v[c] is None:
-                    v[c] = costs[i][c] - u[i]
-                    stack.append((False, c))
-        else:
-            for r in cols_adj[i]:
-                if u[r] is None:
-                    u[r] = costs[r][i] - v[i]
-                    stack.append((True, r))
-    if any(x is None for x in u) or any(x is None for x in v):
+        i = stack.pop()
+        for j in adj[i]:
+            if pot[j] is None:
+                cost = costs[i][j - m] if i < m else costs[j][i - m]
+                pot[j] = cost - pot[i]
+                parent[j] = i
+                stack.append(j)
+    if any(x is None for x in pot):
         raise SolverFailure("transport basis is not a spanning tree")
-    return u, v
+    return pot, parent
 
 
-def _cycle_edges(basis, entering, m, n):
-    """The unique cycle created by ``entering``: edge list starting with it."""
-    rows_adj: list[list[int]] = [[] for _ in range(m)]
-    cols_adj: list[list[int]] = [[] for _ in range(n)]
-    for r, c in basis:
-        rows_adj[r].append(c)
-        cols_adj[c].append(r)
-    r0, c0 = entering
-    start = (True, r0)
-    goal = (False, c0)
-    parent: dict[tuple[bool, int], tuple[bool, int] | None] = {start: None}
-    dq = deque([start])
-    while dq:
-        node = dq.popleft()
-        if node == goal:
-            break
-        is_row, i = node
-        neighbors = rows_adj[i] if is_row else cols_adj[i]
-        for k in neighbors:
-            nxt = (not is_row, k)
-            if nxt not in parent:
-                parent[nxt] = node
-                dq.append(nxt)
-    if goal not in parent:
-        raise SolverFailure("transport basis lost connectivity")
-    nodes = [goal]
-    while parent[nodes[-1]] is not None:
-        nodes.append(parent[nodes[-1]])
-    nodes.reverse()  # start .. goal
-    path = []
-    for a, b in zip(nodes, nodes[1:]):
-        (ra, ia), (rb, ib) = a, b
-        path.append((ia, ib) if ra else (ib, ia))
-    # entering closes the cycle; walking back along the path alternates signs
-    return [entering] + list(reversed(path))
+def _transport_simplex(costs, supply, demand, mode):
+    """Optimal flows for the balanced transportation problem (Bland pivoting).
 
-
-def _transport_simplex(costs, supply, demand, mode, max_pivots: int = 100_000):
-    """Optimal flows for the balanced transportation problem (Bland pivoting)."""
+    The keys of the flow dict are the basis cells.
+    """
     m, n = len(supply), len(demand)
     eps = mode.pivot_eps
     zero = mode.zero
-    flow, basis = _northwest_corner(supply, demand, eps)
-    basis_set = set(basis)
-    for _ in range(max_pivots):
-        u, v = _tree_potentials(basis, costs, m, n, zero)
-        entering = None
-        for r in range(m):
-            for c in range(n):
-                if (r, c) in basis_set:
-                    continue
-                if costs[r][c] - u[r] - v[c] < -eps:
-                    entering = (r, c)
-                    break
-            if entering is not None:
-                break
+    flow = _northwest_corner(supply, demand, eps)
+    for _ in range(MAX_PIVOTS):
+        pot, parent = _basis_tree(flow, costs, m, n, zero)
+        entering = next(
+            (
+                (r, c)
+                for r in range(m)
+                for c in range(n)
+                if (r, c) not in flow and costs[r][c] - pot[r] - pot[m + c] < -eps
+            ),
+            None,
+        )
         if entering is None:
-            return flow, basis, (u, v)
-        cycle = _cycle_edges(basis, entering, m, n)
+            return flow
+        # the cycle that entering closes: up from its column to the lowest
+        # common ancestor with its row, then down to the row
+        r0, c0 = entering
+        up_row = [r0]
+        while parent[up_row[-1]] >= 0:
+            up_row.append(parent[up_row[-1]])
+        up_col = [m + c0]
+        while up_col[-1] not in up_row:
+            up_col.append(parent[up_col[-1]])
+        nodes = up_col + up_row[: up_row.index(up_col[-1])][::-1]
+        cycle = [entering] + [
+            (a, b - m) if a < m else (b, a - m) for a, b in zip(nodes, nodes[1:])
+        ]
         minus = cycle[1::2]
         theta = min(flow[cell] for cell in minus)
-        candidates = [cell for cell in minus if flow[cell] == theta]
-        leaving = min(candidates, key=lambda rc: rc[0] * n + rc[1])
+        leaving = min(cell for cell in minus if flow[cell] == theta)
         flow[entering] = zero
         for i, cell in enumerate(cycle):
             if i % 2 == 0:
@@ -299,10 +272,6 @@ def _transport_simplex(costs, supply, demand, mode, max_pivots: int = 100_000):
             else:
                 flow[cell] = flow[cell] - theta
         del flow[leaving]
-        basis.remove(leaving)
-        basis.append(entering)
-        basis_set.discard(leaving)
-        basis_set.add(entering)
     raise SolverFailure("pivot budget exhausted")
 
 
@@ -323,7 +292,7 @@ def kantorovich_primal(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, Transport
     supply = [w for _, w in mu.weights]
     demand = [w for _, w in nu.weights]
     costs = [[space.dist[i][j] for j in snk] for i in src]
-    flow, _, _ = _transport_simplex(costs, supply, demand, mode)
+    flow = _transport_simplex(costs, supply, demand, mode)
     n = len(space.points)
     matrix = [[mode.zero] * n for _ in range(n)]
     value = mode.zero

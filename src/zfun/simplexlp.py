@@ -22,13 +22,14 @@ from typing import Sequence
 from .errors import BadParameters, SolverFailure
 from .numbers import EXACT, Mode, Num
 
+MAX_PIVOTS = 100_000
+
 
 def solve_inequality_lp(
     c: Sequence[Num],
     rows: Sequence[Sequence[Num]],
     b: Sequence[Num],
     mode: Mode = EXACT,
-    max_pivots: int = 100_000,
 ) -> tuple[Num, list[Num]]:
     """Optimal value and one optimal vertex of ``max c.x : Ax <= b, x >= 0``.
 
@@ -40,13 +41,13 @@ def solve_inequality_lp(
     m = len(rows)
     eps = mode.pivot_eps
     zero = mode.zero
-    for bi in b:
-        if bi < -eps:
-            raise BadParameters("right-hand side must be nonnegative")
+    b = [mode.convert(v) for v in b]
+    if any(bi < -eps for bi in b):
+        raise BadParameters("right-hand side must be nonnegative")
     if any(len(row) != n for row in rows):
         raise BadParameters("constraint rows must match the objective length")
     if mode.is_exact:
-        return _solve_integer(c, rows, b, max_pivots)
+        return _solve_integer(c, rows, b)
 
     # tableau: m constraint rows + objective row; columns: n vars, m slacks, rhs
     width = n + m + 1
@@ -54,13 +55,13 @@ def solve_inequality_lp(
     for i in range(m):
         row = [mode.convert(v) for v in rows[i]]
         row += [mode.one if j == i else zero for j in range(m)]
-        row.append(mode.convert(b[i]))
+        row.append(b[i])
         tab.append(row)
     obj = [-mode.convert(v) for v in c] + [zero] * m + [zero]
     tab.append(obj)
     basis = list(range(n, n + m))
 
-    for _ in range(max_pivots):
+    for _ in range(MAX_PIVOTS):
         # Bland: entering column = smallest index with a negative objective entry
         enter = -1
         for j in range(n + m):
@@ -104,7 +105,7 @@ def _scaled(values):
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _solve_integer(c, rows, b, max_pivots):
+def _solve_integer(c, rows, b):
     """The exact simplex on the integer-scaled tableau (see the module notes)."""
     n, m = len(c), len(rows)
     scaled_rows = [_scaled([EXACT.convert(v) for v in row]) for row in rows]
@@ -114,7 +115,7 @@ def _solve_integer(c, rows, b, max_pivots):
     tab.append(cost + [0] * (m + 1))
     basis = list(range(n, n + m))
     D = 1  # the last pivot: the integer tableau is D times the rational one
-    for _ in range(max_pivots):
+    for _ in range(MAX_PIVOTS):
         enter = next((j for j in range(n + m) if tab[m][j] < 0), -1)
         if enter < 0:
             value = {var: row[-1] for var, row in zip(basis, tab)}

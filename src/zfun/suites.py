@@ -923,6 +923,7 @@ def _check_decomposition(rec, cfg, ctx):
     member_sp = member_space(ctx, member)
     bijections = subset_preserving_bijections(ctx, member)
     fixing = pointwise_fixing_bijections(ctx, member)
+    fixing_set = set(fixing)
     seen = set()
     for idx, h in enumerate(bijections):
         rec.instances += 1
@@ -937,7 +938,7 @@ def _check_decomposition(rec, cfg, ctx):
         if v != extend_map(ctx, restriction).extension:
             rec.fail(idx, law="v is not the extension of the restriction")
             continue
-        if u not in set(fixing):
+        if u not in fixing_set:
             rec.fail(idx, law="u is not a pointwise-fixing bijection")
             continue
         seen.add((u.assignment, v.assignment))

@@ -5,16 +5,19 @@ every basic solution of the transportation polytope, so the two solvers in the
 package are cross-examined by code sharing nothing with either.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from zfun import (
+    EXACT,
     InvalidWeights,
     SpaceMismatch,
     dirac,
     duality_gap,
     float_mode,
+    format_number,
     kantorovich,
     kantorovich_dual,
     kantorovich_primal,
@@ -160,6 +163,38 @@ class TestAgainstBruteForce:
             mu = random_measure(rng, fspace)
             nu = random_measure(rng, fspace)
             assert abs(duality_gap(mu, nu)) <= 1e-9
+
+
+class TestTransportVertexPin:
+    """The primal route's plan, not only its cost, stays where it is.
+
+    A passing check record serializes no plan, so the report hashes cannot
+    see the transport simplex move to another optimal vertex; this pin can.
+    The batch mixes sparse, full-support and identical measures.
+    """
+
+    DIGESTS = {
+        "exact": "84f2040f46d8fb1ffe0ac943b69f8763c2d63738509cd6d8bd1c35cf5688ea4e",
+        "float": "d7dea2a9ed73473e597e0caeaa5bc901f4be0296591ac788576b06001f63bd71",
+    }
+
+    @pytest.mark.parametrize("kind", ["exact", "float"])
+    def test_values_and_plans_are_pinned(self, kind):
+        mode = EXACT if kind == "exact" else float_mode()
+        rng = rng_for(59, "transport-vertex")
+        lines = []
+        for trial in range(90):
+            exact_space = random_space(rng, 2 + trial % 15)  # sizes 2-16
+            dist = [[mode.convert(v) for v in row] for row in exact_space.dist]
+            space = validate_space(exact_space.points, dist, mode)
+            full = trial % 3 == 1
+            mu = random_measure(rng, space, full_support=full)
+            nu = mu if trial % 3 == 2 else random_measure(rng, space, full_support=full)
+            value, plan = kantorovich_primal(mu, nu)
+            cells = [format_number(v) for row in plan.matrix for v in row]
+            lines.append(" ".join([format_number(value), *cells]))
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == self.DIGESTS[kind]
 
 
 class TestMetricAxioms:

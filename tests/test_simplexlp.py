@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from zfun import EXACT, SolverFailure
+from zfun import EXACT, BadParameters, SolverFailure, float_mode
 from zfun.generate import random_measure, random_space, rng_for
 from zfun.simplexlp import solve_inequality_lp
 
@@ -97,3 +97,14 @@ class TestAgainstReference:
         value, x = solve_inequality_lp(*program)
         assert (value, x) == reference_inequality_lp(*program)
         assert all(isinstance(v, Fraction) for v in [value, *x])
+
+
+class TestInputs:
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    def test_string_numbers_are_parsed_everywhere(self, mode):
+        # max x + y/2  s.t.  x <= 1/2,  x + y <= 2
+        c, rows, b = ["1", "1/2"], [["1", "0"], ["1", "1"]], ["1/2", "2"]
+        value, x = solve_inequality_lp(c, rows, b, mode)
+        assert (value, x) == (Fraction(5, 4), [Fraction(1, 2), Fraction(3, 2)])
+        with pytest.raises(BadParameters, match="right-hand side"):
+            solve_inequality_lp(c, rows, ["-1/2", "2"], mode)

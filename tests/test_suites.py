@@ -93,6 +93,13 @@ class TestRunSuite:
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
         assert digest == "46405c368ec0f3a7871015981ed9b6bd0b8ef6e5c4a2dc8eeb25b13277836459"
 
+    def test_larger_fixture_report_bytes_are_pinned(self):
+        # at n = 8, k = 3 each member has a 5-point pad, so
+        # decomposition-factorization factors 720 bijections (4 at n = 4, k = 2)
+        report = run_suite("all", RunConfig(seed=42, trials=100, n=8, k=3))
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        assert digest == "cd5fed6d0d26638f02657d5c1d174880dfcab3095943a32ed364ba28c2b05b35"
+
 
 def _boom(*args, **kwargs):
     raise RuntimeError("boom")
