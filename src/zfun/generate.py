@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .numbers import EXACT, Mode
+from .numbers import EXACT, Mode, scaled
 from .spaces import FiniteMetricSpace, MetricMap, metric_map, validate_space
 from .measures import ProbMeasure, prob_measure
 from .stepspace import StepFunction, step_function
@@ -37,20 +37,22 @@ def random_space(
 
     Draws a symmetric positive weight matrix and closes it under shortest
     paths, which repairs every triangle violation while keeping positivity.
+    The closure runs on the weights scaled to one integer lattice.
     """
     pts = tuple(labels) if labels is not None else tuple(f"{prefix}{i}" for i in range(size))
     n = len(pts)
-    d = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i][j] = d[j][i] = random_rational(rng)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                via = d[i][k] + d[k][j]
-                if via < d[i][j]:
-                    d[i][j] = via
-    return validate_space(pts, d, mode)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    weights, scale = scaled([random_rational(rng) for _ in pairs])
+    d = [[0] * n for _ in range(n)]
+    for (i, j), w in zip(pairs, weights):
+        d[i][j] = d[j][i] = w
+    for k, row_k in enumerate(d):
+        for row_i in d:
+            dik = row_i[k]
+            for j, dkj in enumerate(row_k):
+                if dik + dkj < row_i[j]:
+                    row_i[j] = dik + dkj
+    return validate_space(pts, [[Fraction(v, scale) for v in row] for row in d], mode)
 
 
 def normalize_diameter(space: FiniteMetricSpace) -> FiniteMetricSpace:

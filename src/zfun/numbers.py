@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite, lcm
 from typing import Union
 
 from .errors import FormatError
@@ -27,6 +28,8 @@ def parse_number(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not isfinite(value):
+            raise FormatError(f"not a finite number: {value!r}")
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -34,6 +37,17 @@ def parse_number(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"not a rational: {value!r}") from exc
     raise FormatError(f"unsupported number type: {type(value).__name__}")
+
+
+def scaled(values) -> tuple[list[int], int]:
+    """Rationals times the lcm of their denominators, as ints, and that lcm.
+
+    Dividing every entry by one positive scale keeps sums, differences and
+    comparisons, so exact kernels can run on Python ``int``s.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*(q for _, q in ratios))
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def format_number(value: Num) -> str:
@@ -78,11 +92,13 @@ class Mode:
         return Fraction(1) if self.is_exact else 1.0
 
     def convert(self, value) -> Num:
-        q = parse_number(value)
+        if isinstance(value, float) and isfinite(value) and not self.is_exact:
+            return value
+        q = value if isinstance(value, Fraction) else parse_number(value)
         if self.is_exact:
             return q
         try:
-            return float(q)
+            return q.numerator / q.denominator  # what float(q) computes
         except OverflowError as exc:
             raise FormatError(f"too large for float mode: {value!r}") from exc
 

@@ -16,11 +16,10 @@ pivots and vertex.  On a network matrix such as the Kantorovich dual's
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import BadParameters, SolverFailure
-from .numbers import EXACT, Mode, Num
+from .numbers import EXACT, Mode, Num, scaled
 
 MAX_PIVOTS = 100_000
 
@@ -99,18 +98,12 @@ def solve_inequality_lp(
     raise SolverFailure("pivot budget exhausted")
 
 
-def _scaled(values):
-    """Fractions times the lcm of their denominators, as ints, and that lcm."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def _solve_integer(c, rows, b):
     """The exact simplex on the integer-scaled tableau (see the module notes)."""
     n, m = len(c), len(rows)
-    scaled_rows = [_scaled([EXACT.convert(v) for v in row]) for row in rows]
-    rhs, scale_b = _scaled([s * EXACT.convert(v) for (_, s), v in zip(scaled_rows, b)])
-    cost, scale_c = _scaled([-EXACT.convert(v) for v in c])
+    scaled_rows = [scaled([EXACT.convert(v) for v in row]) for row in rows]
+    rhs, scale_b = scaled([s * EXACT.convert(v) for (_, s), v in zip(scaled_rows, b)])
+    cost, scale_c = scaled([-EXACT.convert(v) for v in c])
     tab = [row + [int(j == i) for j in range(m)] + [rhs[i]] for i, (row, _) in enumerate(scaled_rows)]
     tab.append(cost + [0] * (m + 1))
     basis = list(range(n, n + m))

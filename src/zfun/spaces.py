@@ -11,7 +11,6 @@ the anchor copy.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -23,7 +22,7 @@ from .errors import (
     SpaceMismatch,
     UnknownPoint,
 )
-from .numbers import EXACT, Mode, Num
+from .numbers import EXACT, Mode, Num, scaled
 
 ANCHOR_PREFIX = "ω:"  # "ω:" — reserved for anchor/pad labels
 
@@ -81,25 +80,36 @@ def metric_violations(
 ) -> list[tuple[str, tuple[str, ...]]]:
     """Every metric-axiom violation in ``dist``, as ``(axiom, witness-labels)``.
 
-    Checks identity, symmetry, positivity and (when those hold pointwise where
-    needed) the triangle inequality over all triples.
+    Checks identity, symmetry, positivity and the triangle inequality over all
+    ordered triples of distinct points, in that order.  Exact mode scans the
+    matrix scaled to ``int``s with tolerance zero; float mode scans the floats
+    as given.  Each test is written as ``not (x <= tol)`` or ``not (x > tol)``,
+    the comparisons of :class:`Mode`, so a NaN is a violation in float mode.
     """
     n = len(points)
+    if mode.is_exact:
+        flat, _ = scaled([mode.convert(v) for row in dist for v in row])
+        d, tol = [flat[i * n:(i + 1) * n] for i in range(n)], 0
+    else:
+        d, tol = dist, mode.tolerance
     bad: list[tuple[str, tuple[str, ...]]] = []
     for i in range(n):
-        if not mode.is_zero(dist[i][i]):
+        if not abs(d[i][i]) <= tol:
             bad.append(("identity", (points[i],)))
     for i in range(n):
         for j in range(i + 1, n):
-            if not mode.eq(dist[i][j], dist[j][i]):
+            if not abs(d[i][j] - d[j][i]) <= tol:
                 bad.append(("symmetry", (points[i], points[j])))
-            if not mode.positive(dist[i][j]):
+            if not d[i][j] > tol:
                 bad.append(("positivity", (points[i], points[j])))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if i == j or j == k or i == k:
-            continue
-        if not mode.leq(dist[i][k], dist[i][j] + dist[j][k]):
-            bad.append(("triangle", (points[i], points[j], points[k])))
+    for i, row_i in enumerate(d):
+        for j, row_j in enumerate(d):
+            if i == j:
+                continue
+            dij = row_i[j]
+            for k, (dik, djk) in enumerate(zip(row_i, row_j)):
+                if not dik - (dij + djk) <= tol and k != i and k != j:
+                    bad.append(("triangle", (points[i], points[j], points[k])))
     return bad
 
 

@@ -11,6 +11,7 @@ import itertools
 from fractions import Fraction
 
 from zfun import (
+    EXACT,
     FiniteMetricSpace,
     ProbMeasure,
     metric_map,
@@ -84,6 +85,57 @@ def brute_metric_violations(points, dist):
                 if d[i][k] > d[i][j] + d[j][k]:
                     bad.add(("triangle", (points[i], points[j], points[k])))
     return bad
+
+
+def reference_metric_violations(points, dist, mode=EXACT):
+    """The axiom scan through :class:`Mode`'s comparisons, value by value.
+
+    The scan :func:`zfun.metric_violations` ran before it moved onto one
+    integer lattice, kept as an oracle: the same four axioms in the same
+    order, each compared by ``mode.is_zero``/``eq``/``positive``/``leq`` on
+    the entries as given.  Returns the list of ``(axiom, witness)`` pairs.
+    """
+    n = len(points)
+    bad = []
+    for i in range(n):
+        if not mode.is_zero(dist[i][i]):
+            bad.append(("identity", (points[i],)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not mode.eq(dist[i][j], dist[j][i]):
+                bad.append(("symmetry", (points[i], points[j])))
+            if not mode.positive(dist[i][j]):
+                bad.append(("positivity", (points[i], points[j])))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if i == j or j == k or i == k:
+            continue
+        if not mode.leq(dist[i][k], dist[i][j] + dist[j][k]):
+            bad.append(("triangle", (points[i], points[j], points[k])))
+    return bad
+
+
+# ---------------------------------------------------------------------------
+# reference random metric on Fractions
+
+
+def reference_random_distances(rng, size):
+    """The distances ``generate.random_space`` draws, closed on Fractions.
+
+    Draws one ``Fraction(randint(1, 40), randint(1, 8))`` per pair ``i < j``
+    in row-major order and runs Floyd–Warshall on the Fraction matrix, as
+    the library did before it moved onto integers.
+    """
+    d = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            d[i][j] = d[j][i] = Fraction(rng.randint(1, 40), rng.randint(1, 8))
+    for k in range(size):
+        for i in range(size):
+            for j in range(size):
+                via = d[i][k] + d[k][j]
+                if via < d[i][j]:
+                    d[i][j] = via
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,18 @@ class TestValidate:
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_json_literal_exits_two(self, workdir, mode, literal):
+        (workdir / "odd.json").write_text(
+            '{"points": ["a", "b"], "dist": [[0, %s], [%s, 0]]}' % (literal, literal)
+        )
+        proc = run_cli("validate", "odd.json", "--mode", mode, cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [
+            f"error: not a finite number: {float(literal)!r}"
+        ]
+
     def test_malformed_json_exits_two(self, workdir):
         (workdir / "garbage.json").write_text("{not json")
         proc = run_cli("validate", "garbage.json", cwd=workdir)
@@ -143,6 +155,18 @@ class TestDist:
         payload = json.loads(proc.stdout)
         assert abs(float(payload["value"]) - 0.75) < 1e-9
         assert abs(float(payload["gap"])) <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("literal", ["Infinity", "NaN"])
+    def test_non_finite_weight_exits_two(self, workdir, mode, literal):
+        (workdir / "odd.json").write_text(
+            '{"space": "space.json", "weights": {"a": %s, "b": "1/2"}}' % literal
+        )
+        proc = run_cli("dist", "odd.json", "nu.json", "--mode", mode, cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [
+            f"error: not a finite number: {float(literal)!r}"
+        ]
 
     def test_mismatched_spaces_exit_two(self, workdir):
         other = {"points": ["z"], "dist": [["0"]]}

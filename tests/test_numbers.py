@@ -1,5 +1,7 @@
 """Number parsing, serialization and comparison-mode behavior."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,11 @@ class TestParseNumber:
     def test_bool_rejected(self):
         with pytest.raises(FormatError):
             parse_number(True)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_is_a_format_error(self, bad):
+        with pytest.raises(FormatError, match="not a finite number"):
+            parse_number(bad)
 
     @pytest.mark.parametrize("bad", ["", "abc", "1/0", "--3", None, [1]])
     def test_garbage_rejected(self, bad):
@@ -103,3 +110,49 @@ class TestModes:
             Mode("decimal")
         with pytest.raises(ValueError):
             Mode("float", 0.0)
+
+
+class TestConvertDirectPath:
+    """``Mode.convert`` on values that are already a Fraction or a float."""
+
+    def test_float_comes_back_as_the_same_object(self):
+        value = 0.1 + 0.2
+        assert float_mode().convert(value) is value
+
+    def test_fraction_comes_back_as_the_same_object_in_exact_mode(self):
+        q = Fraction(22, 7)
+        assert EXACT.convert(q) is q
+
+    def test_fraction_to_float_is_bit_identical_to_float(self):
+        rng = random.Random(1000)
+        mode = float_mode()
+        for _ in range(2000):
+            bits = rng.choice([8, 60, 600, 1100, 1500])
+            num = rng.getrandbits(bits) * rng.choice([1, -1])
+            den = rng.getrandbits(max(1, bits + rng.randint(-60, 60))) + 1
+            q = Fraction(num, den)
+            assert mode.convert(q).hex() == float(q).hex(), q
+        edges = (
+            Fraction(2**1023 + 1, 3),  # near the largest double
+            Fraction(1, 2**1074 * 3),  # a subnormal
+            Fraction(-(2**1000) - 1, 2**999),
+        )
+        for q in edges:
+            assert mode.convert(q).hex() == float(q).hex()
+
+    def test_overflow_is_still_a_format_error(self):
+        with pytest.raises(FormatError):
+            float_mode().convert(Fraction(10) ** 400)
+        with pytest.raises(FormatError):
+            float_mode().convert(10**400)
+
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    def test_bool_is_still_rejected(self, mode):
+        with pytest.raises(FormatError):
+            mode.convert(True)
+
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_a_format_error(self, mode, bad):
+        with pytest.raises(FormatError, match="not a finite number"):
+            mode.convert(bad)

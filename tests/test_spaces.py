@@ -1,5 +1,6 @@
 """Finite metric spaces, maps, sup distance, and anchor gluing."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from zfun import (
     BadParameters,
     DomainMismatch,
     EXACT,
+    FormatError,
     SpaceMismatch,
     UnknownPoint,
     compose,
@@ -38,6 +40,7 @@ from zfun.generate import random_map, random_space, rng_for
 from helpers import (
     all_maps,
     brute_metric_violations,
+    reference_metric_violations,
     space_ab,
     space_abc,
     space_small_diam,
@@ -139,6 +142,116 @@ class TestValidateSpace:
             ["a", "b"], [[0.0, noisy], [1.0, 0.0]], float_mode()
         )
         assert space.distance("a", "b") == noisy
+
+
+class TestScanMatchesReference:
+    """The integer-lattice scan lists what the Mode-comparison scan lists, in order."""
+
+    MODES = [EXACT, float_mode(), float_mode(1e-3)]
+
+    @staticmethod
+    def value(rng, mode):
+        """An arbitrary entry: a rational of either sign, or (float mode) the tolerance edge."""
+        q = Fraction(rng.randint(-40, 40), rng.randint(1, 8))
+        if mode.is_exact:
+            return q
+        tol = mode.tolerance
+        return rng.choice([float(q), 0.0, -0.0, tol, -tol, math.nextafter(tol, math.inf)])
+
+    @classmethod
+    def bump(cls, rng, mode):
+        """A small excess: zero, or (float mode) exactly the tolerance or one ulp above."""
+        if mode.is_exact:
+            return rng.choice([Fraction(0), Fraction(1, 7), Fraction(-1, 3)])
+        tol = mode.tolerance
+        return rng.choice([0.0, tol, math.nextafter(tol, math.inf)])
+
+    @classmethod
+    def edit(cls, rng, d, mode):
+        """One seeded edit that may break identity, symmetry, positivity or a triangle."""
+        n = len(d)
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        kind = rng.randrange(4)
+        if kind == 0:
+            d[i][j] = cls.value(rng, mode)
+        elif kind == 1:
+            d[i][j] = d[j][i] = cls.value(rng, mode)
+        elif kind == 2:
+            d[j][i] = d[i][j] + cls.bump(rng, mode)
+        else:
+            d[i][k] = d[k][i] = d[i][j] + d[j][k] + cls.bump(rng, mode)
+
+    @pytest.mark.parametrize("mode", MODES, ids=["exact", "float", "float-1e-3"])
+    def test_seeded_mutations(self, mode):
+        rng = rng_for(7, f"scan-vs-reference-{mode.tolerance}")
+        kinds = set()
+        for _ in range(300):
+            space = random_space(rng, rng.randint(1, 7), mode=mode)
+            d = [list(row) for row in space.dist]
+            for _ in range(rng.randint(0, 3)):
+                self.edit(rng, d, mode)
+            got = metric_violations(space.points, d, mode)
+            assert got == reference_metric_violations(space.points, d, mode)
+            kinds.update(axiom for axiom, _ in got)
+        assert kinds == {"identity", "symmetry", "positivity", "triangle"}
+
+    @pytest.mark.parametrize("mode", MODES[1:], ids=["float", "float-1e-3"])
+    def test_float_edges_at_and_one_ulp_past_the_tolerance(self, mode):
+        tol = mode.tolerance
+        above = math.nextafter(tol, math.inf)
+        for x in (tol, above, -tol, -above):
+            for d in (
+                [[x]],
+                [[0.0, x], [x, 0.0]],
+                [[0.0, 1.0], [1.0 + x, 0.0]],
+                [[0.0, 1.0, 2.0 + x], [1.0, 0.0, 1.0], [2.0 + x, 1.0, 0.0]],
+            ):
+                pts = [f"p{i}" for i in range(len(d))]
+                assert metric_violations(pts, d, mode) == reference_metric_violations(
+                    pts, d, mode
+                )
+        assert metric_violations(["a"], [[tol]], mode) == []
+        assert metric_violations(["a"], [[above]], mode) == [("identity", ("a",))]
+
+    @pytest.mark.parametrize("mode", MODES[1:], ids=["float", "float-1e-3"])
+    def test_nan_is_a_violation_in_float_mode(self, mode):
+        nan = math.nan
+        for d in (
+            [[nan]],
+            [[0.0, nan], [1.0, 0.0]],
+            [[0.0, 1.0, nan], [1.0, 0.0, 1.0], [nan, 1.0, 0.0]],
+        ):
+            pts = [f"p{i}" for i in range(len(d))]
+            got = metric_violations(pts, d, mode)
+            assert got and got == reference_metric_violations(pts, d, mode)
+
+    def test_int_and_float_entries_in_exact_mode(self):
+        # Quarters add exactly in floats, so the reference's float sums agree
+        # with exact ones; a sum that rounds is the next test.
+        rng = rng_for(7, "scan-vs-reference-mixed-entries")
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            d = [[rng.choice([rng.randint(-3, 9), rng.randint(-12, 36) / 4]) for _ in range(n)]
+                 for _ in range(n)]
+            for i in range(n):
+                d[i][i] = rng.choice([0, 0.0, 0, 1])
+            pts = [f"p{i}" for i in range(n)]
+            assert metric_violations(pts, d) == reference_metric_violations(pts, d)
+
+    def test_exact_mode_reads_a_float_as_its_exact_rational(self):
+        # 0.1 + 0.2 rounds up to 0.30000000000000004 in floats; exactly, the
+        # float nearest 0.1 plus the one nearest 0.2 is below that float.
+        d = [[0, 0.1, 0.30000000000000004], [0.1, 0, 0.2], [0.30000000000000004, 0.2, 0]]
+        assert reference_metric_violations("abc", d) == []
+        assert metric_violations("abc", d) == [
+            ("triangle", ("a", "b", "c")),
+            ("triangle", ("c", "b", "a")),
+        ]
+
+    def test_a_non_finite_entry_is_a_format_error_in_exact_mode(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(FormatError):
+                metric_violations(["a", "b"], [[0, bad], [bad, 0]])
 
 
 class TestSpaceBasics:
