@@ -286,11 +286,10 @@ def _fixture_from_args(args, mode, seed):
 
 def _member_labels(raw):
     """Accept a bare label list or a space object; return the labels."""
-    if isinstance(raw, list):
-        return raw
-    if isinstance(raw, dict) and "points" in raw:
-        return raw["points"]
-    raise FormatError("domain/codomain must be a label list or a space object")
+    labels = raw.get("points") if isinstance(raw, dict) else raw
+    if not isinstance(labels, list) or not all(isinstance(p, str) for p in labels):
+        raise FormatError("domain/codomain must be a label list or a space object")
+    return labels
 
 
 def cmd_extend(args) -> int:
@@ -300,12 +299,13 @@ def cmd_extend(args) -> int:
     raw = fileio.load_json(args.map)
     if not isinstance(raw, dict) or "assignment" not in raw:
         raise FormatError("a map file needs an 'assignment' object")
+    assignment = fileio.assignment_from_obj(raw["assignment"])
 
     if args.decompose:
         if not args.subset:
             raise FormatError("--decompose requires --subset with member labels")
         member = ctx.member(label.strip() for label in args.subset.split(","))
-        h = metric_map(ctx.ambient, ctx.ambient, raw["assignment"])
+        h = metric_map(ctx.ambient, ctx.ambient, assignment)
         u, v = decompose_automorphism(ctx, member, h)
         check = compose(u, v) == h and all(u(x) == x for x in member)
         out = {
@@ -321,7 +321,7 @@ def cmd_extend(args) -> int:
 
     dom = member_space(ctx, _member_labels(raw.get("domain")))
     cod = member_space(ctx, _member_labels(raw.get("codomain")))
-    phi = metric_map(dom, cod, raw["assignment"])
+    phi = metric_map(dom, cod, assignment)
     result = extend_map(ctx, phi)
     hat = result.extension
 
@@ -401,6 +401,11 @@ def cmd_report(args) -> int:
     obj = fileio.load_json(args.report)
     if not isinstance(obj, dict) or "pass" not in obj:
         raise FormatError("not a report: missing 'pass'")
+    records = obj.get("records", [])
+    if not isinstance(records, list) or not all(
+        isinstance(r, dict) and isinstance(r.get("failures", []), list) for r in records
+    ):
+        raise FormatError("a report's 'records' must be a list of objects")
     stream = sys.stdout if args.output is None else sys.stderr
     print(f"command: {obj.get('command', '?')}", file=stream)
     _print_records(obj, stream)

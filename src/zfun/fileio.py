@@ -72,10 +72,14 @@ def map_from_obj(obj, mode: Mode = EXACT, base: Path | None = None) -> MetricMap
     _require_keys(obj, ("domain", "codomain", "assignment"), "a map")
     domain = space_from_obj(obj["domain"], mode, base)
     codomain = space_from_obj(obj["codomain"], mode, base)
-    assignment = obj["assignment"]
-    if not isinstance(assignment, dict):
+    return metric_map(domain, codomain, assignment_from_obj(obj["assignment"]))
+
+
+def assignment_from_obj(obj) -> dict[str, str]:
+    """A map file's ``assignment``: an object whose values are labels."""
+    if not isinstance(obj, dict) or not all(isinstance(q, str) for q in obj.values()):
         raise FormatError("'assignment' must be an object of label pairs")
-    return metric_map(domain, codomain, assignment)
+    return obj
 
 
 def load_map(path: str | Path, mode: Mode = EXACT) -> MetricMap:

@@ -18,6 +18,8 @@ Num = Union[Fraction, float]
 
 DEFAULT_FLOAT_TOLERANCE = 1e-9
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared: Fractions are immutable
+
 
 def parse_number(value) -> Fraction:
     """Parse a rational from a string ("3/2", "0.25", "7"), int, float or Fraction."""
@@ -81,15 +83,15 @@ class Mode:
     @property
     def pivot_eps(self) -> Num:
         """Zero threshold used inside solvers (tighter than the reporting tolerance)."""
-        return Fraction(0) if self.is_exact else 1e-12
+        return _ZERO if self.is_exact else 1e-12
 
     @property
     def zero(self) -> Num:
-        return Fraction(0) if self.is_exact else 0.0
+        return _ZERO if self.is_exact else 0.0
 
     @property
     def one(self) -> Num:
-        return Fraction(1) if self.is_exact else 1.0
+        return _ONE if self.is_exact else 1.0
 
     def convert(self, value) -> Num:
         if isinstance(value, float) and isfinite(value) and not self.is_exact:

@@ -64,15 +64,14 @@ class FiniteMetricSpace:
 def _structural_check(points: Sequence[str], dist: Sequence[Sequence]) -> None:
     if len(points) == 0:
         raise BadParameters("a space needs at least one point")
-    if len(set(points)) != len(points):
-        raise BadParameters("point labels must be distinct")
     for p in points:
         if not isinstance(p, str):
             raise BadParameters(f"labels must be strings, got {type(p).__name__}")
-    if len(dist) != len(points) or any(len(row) != len(points) for row in dist):
-        raise BadParameters(
-            f"distance matrix must be {len(points)}x{len(points)}"
-        )
+    if len(set(points)) != len(points):
+        raise BadParameters("point labels must be distinct")
+    n = len(points)
+    if len(dist) != n or any(not isinstance(row, (list, tuple)) or len(row) != n for row in dist):
+        raise BadParameters(f"distance matrix must be {n}x{n}")
 
 
 def metric_violations(
@@ -114,7 +113,7 @@ def metric_violations(
 
 
 def validate_space(
-    points: Iterable[str], dist: Iterable[Iterable], mode: Mode = EXACT
+    points: Iterable[str], dist: Sequence[Sequence], mode: Mode = EXACT
 ) -> FiniteMetricSpace:
     """Validate labels and matrix and return the immutable space.
 
@@ -123,9 +122,8 @@ def validate_space(
     witnesses, if the matrix is not a metric.
     """
     pts = tuple(points)
-    rows = [list(row) for row in dist]
-    _structural_check(pts, rows)
-    matrix = tuple(tuple(mode.convert(v) for v in row) for row in rows)
+    _structural_check(pts, dist)
+    matrix = tuple(tuple(mode.convert(v) for v in row) for row in dist)
     violations = metric_violations(pts, matrix, mode)
     if violations:
         raise AxiomViolation(violations)

@@ -112,6 +112,22 @@ class TestValidate:
             f"error: not a finite number: {float(literal)!r}"
         ]
 
+    @pytest.mark.parametrize(
+        "space, message",
+        [
+            ({"points": [{"a": 1}, "b"], "dist": SPACE["dist"][:2]},
+             "error: labels must be strings, got dict"),
+            ({"points": ["a", "b"], "dist": [5, ["1", "0"]]},
+             "error: distance matrix must be 2x2"),
+        ],
+        ids=["unhashable-label", "row-not-a-list"],
+    )
+    def test_malformed_space_exits_two(self, workdir, space, message):
+        (workdir / "odd.json").write_text(json.dumps(space))
+        proc = run_cli("validate", "odd.json", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [message]
+
     def test_malformed_json_exits_two(self, workdir):
         (workdir / "garbage.json").write_text("{not json")
         proc = run_cli("validate", "garbage.json", cwd=workdir)
@@ -194,6 +210,16 @@ class TestGlueAndPush:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["weights"] == {"b": "1"}
+
+    def test_push_with_a_non_label_value_exits_two(self, workdir):
+        bad = {"domain": "space.json", "codomain": "space.json",
+               "assignment": {"a": ["b"], "b": "b", "c": "a"}}
+        (workdir / "bad.json").write_text(json.dumps(bad))
+        proc = run_cli("push", "bad.json", "mu.json", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [
+            "error: 'assignment' must be an object of label pairs"
+        ]
 
 
 class TestExtend:
@@ -310,6 +336,35 @@ class TestExtend:
         assert proc.stderr.startswith(f"error: fixture {key!r} must be an integer")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "assignment, flags",
+        [
+            ({"x0": ["x3"], "x1": "x2"}, ()),
+            (["x3", "x2"], ()),
+            (["x1", "x0", "x3", "x2"], ("--decompose", "--subset", "x0,x1")),
+        ],
+        ids=["non-label-value", "list", "list-decompose"],
+    )
+    def test_malformed_assignment_exits_two(self, tmp_path, assignment, flags):
+        bad = {"domain": ["x0", "x1"], "codomain": ["x2", "x3"], "assignment": assignment}
+        (tmp_path / "bad.json").write_text(json.dumps(bad))
+        proc = run_cli("extend", "bad.json", "--n", "4", "--k", "2", *flags, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [
+            "error: 'assignment' must be an object of label pairs"
+        ]
+
+    @pytest.mark.parametrize("domain", [[["x0"], "x1"], {"points": 5}],
+                             ids=["list-label", "points-not-a-list"])
+    def test_malformed_domain_exits_two(self, tmp_path, domain):
+        bad = {"domain": domain, "codomain": ["x2", "x3"], "assignment": {"x0": "x3"}}
+        (tmp_path / "bad.json").write_text(json.dumps(bad))
+        proc = run_cli("extend", "bad.json", "--n", "4", "--k", "2", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [
+            "error: domain/codomain must be a label list or a space object"
+        ]
+
 
 class TestCheck:
     def test_small_run_passes(self, tmp_path):
@@ -385,6 +440,19 @@ class TestReport:
         proc = run_cli("report", "bad.json", cwd=tmp_path)
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "records",
+        [[1], {"a": 1}, [{"name": "x", "failures": 5}]],
+        ids=["list-of-numbers", "object", "failures-not-a-list"],
+    )
+    def test_malformed_records_exit_two(self, tmp_path, records):
+        (tmp_path / "odd.json").write_text(json.dumps({"pass": True, "records": records}))
+        proc = run_cli("report", "odd.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [
+            "error: a report's 'records' must be a list of objects"
+        ]
 
 
 class TestUsage:

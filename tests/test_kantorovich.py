@@ -165,6 +165,19 @@ class TestAgainstBruteForce:
             assert abs(duality_gap(mu, nu)) <= 1e-9
 
 
+def pinned_pairs(kind, rng):
+    """90 measure pairs on spaces of 2-16 points, every third one sparse,
+    full-support or a measure paired with itself, in ``kind`` mode."""
+    mode = EXACT if kind == "exact" else float_mode()
+    for trial in range(90):
+        exact_space = random_space(rng, 2 + trial % 15)
+        dist = [[mode.convert(v) for v in row] for row in exact_space.dist]
+        space = validate_space(exact_space.points, dist, mode)
+        full = trial % 3 == 1
+        mu = random_measure(rng, space, full_support=full)
+        yield mu, mu if trial % 3 == 2 else random_measure(rng, space, full_support=full)
+
+
 class TestTransportVertexPin:
     """The primal route's plan, not only its cost, stays where it is.
 
@@ -180,19 +193,36 @@ class TestTransportVertexPin:
 
     @pytest.mark.parametrize("kind", ["exact", "float"])
     def test_values_and_plans_are_pinned(self, kind):
-        mode = EXACT if kind == "exact" else float_mode()
-        rng = rng_for(59, "transport-vertex")
         lines = []
-        for trial in range(90):
-            exact_space = random_space(rng, 2 + trial % 15)  # sizes 2-16
-            dist = [[mode.convert(v) for v in row] for row in exact_space.dist]
-            space = validate_space(exact_space.points, dist, mode)
-            full = trial % 3 == 1
-            mu = random_measure(rng, space, full_support=full)
-            nu = mu if trial % 3 == 2 else random_measure(rng, space, full_support=full)
+        for mu, nu in pinned_pairs(kind, rng_for(59, "transport-vertex")):
             value, plan = kantorovich_primal(mu, nu)
             cells = [format_number(v) for row in plan.matrix for v in row]
             lines.append(" ".join([format_number(value), *cells]))
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == self.DIGESTS[kind]
+
+
+class TestDualVertexPin:
+    """The dual route's potential, not only its value, stays where it is.
+
+    The LP's optimal face can hold several vertices, and a passing check
+    record serializes no potential, so only this pin sees the dual simplex
+    move to another vertex.  The batch mixes sparse, full-support and
+    identical measures.
+    """
+
+    DIGESTS = {
+        "exact": "95b432479e00599f7b76628dd432996958d6ff2e10e1b39d875535404b627ef4",
+        "float": "3decbe43e531bd81ddb76e06d3d4111945bc1b4749ce2ff06a6bd8e098db3e18",
+    }
+
+    @pytest.mark.parametrize("kind", ["exact", "float"])
+    def test_values_and_potentials_are_pinned(self, kind):
+        lines = []
+        for mu, nu in pinned_pairs(kind, rng_for(61, "dual-vertex")):
+            value, potential = kantorovich_dual(mu, nu)
+            values = [format_number(v) for _, v in potential.values]
+            lines.append(" ".join([format_number(value), *values]))
         digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
         assert digest == self.DIGESTS[kind]
 

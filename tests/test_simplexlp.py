@@ -1,7 +1,8 @@
-"""The exact LP kernel against a plain Fraction-tableau simplex.
+"""The LP kernel against a plain Fraction-tableau simplex.
 
-Both use Bland's rule, so on every program they must pivot alike and return
-the same vertex, not only the same optimal value.
+Both use Bland's rule, so on every program the exact kernel must pivot alike
+and return the same vertex, not only the same optimal value; the float kernel
+must come within rounding of the same value.
 """
 
 import importlib
@@ -36,9 +37,9 @@ def random_rational_lp(rng: random.Random):
     return c, rows, b
 
 
-def solve_or_none(c, rows, b):
+def solve_or_none(c, rows, b, mode=EXACT):
     try:
-        return solve_inequality_lp(c, rows, b, EXACT)
+        return solve_inequality_lp(c, rows, b, mode)
     except SolverFailure:
         return None
 
@@ -54,6 +55,22 @@ class TestAgainstReference:
             outcomes["unbounded" if expected is None else "bounded"] += 1
             outcomes["zero rhs"] += 0 in b
         assert min(outcomes.values()) >= 50, outcomes
+
+    def test_random_rational_programs_in_float_mode(self):
+        # Pivots here are rarely 1, so float mode runs the Bareiss update,
+        # which no program of this package reaches.
+        rng = rng_for(3, "simplex-oracle")
+        unbounded = 0
+        for _ in range(1000):
+            c, rows, b = random_rational_lp(rng)
+            expected = reference_inequality_lp(c, rows, b)
+            got = solve_or_none(c, rows, b, float_mode())
+            assert (got is None) == (expected is None), (c, rows, b)
+            if expected is None:
+                unbounded += 1
+            else:
+                assert abs(got[0] - expected[0]) <= 1e-9, (c, rows, b)
+        assert unbounded >= 50
 
     def test_kantorovich_dual_programs(self, monkeypatch):
         programs = []
