@@ -11,12 +11,19 @@ Two genuinely independent routes compute the same number:
   start, tree potentials, deterministic Bland-style pivoting).
 
 In exact mode both are exact optima of dual linear programs, so
-:func:`duality_gap` is exactly zero.
+:func:`duality_gap` is exactly zero.  Both run on Python ``int``s there: the
+LP kernel scales its tableau, and the transportation simplex runs on the
+costs and the weights each scaled by one positive common multiple.  The
+transportation matrix is totally unimodular, so integer supplies, demands
+and costs keep every flow and potential an integer without any division.
+The two routes share no solver code, only that lattice helper,
+:func:`numbers.scaled`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -26,7 +33,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .measures import ProbMeasure, dirac, pushforward
-from .numbers import Num
+from .numbers import Num, scaled
 from .simplexlp import MAX_PIVOTS, solve_inequality_lp
 from .spaces import FiniteMetricSpace, MetricMap, diameter, sup_distance
 
@@ -227,14 +234,14 @@ def _basis_tree(flow, costs, m, n, zero):
     return pot, parent
 
 
-def _transport_simplex(costs, supply, demand, mode):
+def _transport_simplex(costs, supply, demand, eps, zero):
     """Optimal flows for the balanced transportation problem (Bland pivoting).
 
-    The keys of the flow dict are the basis cells.
+    ``eps`` is the zero threshold of the reduced costs and the northwest
+    walk, ``zero`` the additive identity of the numbers given.  The keys of
+    the flow dict are the basis cells.
     """
     m, n = len(supply), len(demand)
-    eps = mode.pivot_eps
-    zero = mode.zero
     flow = _northwest_corner(supply, demand, eps)
     for _ in range(MAX_PIVOTS):
         pot, parent = _basis_tree(flow, costs, m, n, zero)
@@ -280,6 +287,14 @@ def kantorovich_primal(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, Transport
 
     Solved on the supports only; the returned plan matrix is indexed by the
     full point set (zero rows/columns off-support).
+
+    Exact mode runs the transportation simplex on Python ``int``s: the costs
+    are scaled by the lcm of their denominators, and supply and demand
+    together by the lcm of the weight denominators.  The transportation
+    matrix is totally unimodular, so with integer data every flow and every
+    potential stays an integer and no pivot divides.  One positive scale per
+    side keeps Bland's entering cell, θ and the leaving tie-break, so the
+    plan is the one the same simplex finds on the ``Fraction``s.
     """
     space = _require_shared_space(mu, nu)
     mode = space.mode
@@ -292,15 +307,29 @@ def kantorovich_primal(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, Transport
     supply = [w for _, w in mu.weights]
     demand = [w for _, w in nu.weights]
     costs = [[space.dist[i][j] for j in snk] for i in src]
-    flow = _transport_simplex(costs, supply, demand, mode)
     n = len(space.points)
     matrix = [[mode.zero] * n for _ in range(n)]
-    value = mode.zero
-    for (r, c), amount in flow.items():
-        if amount < 0 and not mode.is_exact:
-            amount = 0.0  # round simplex dust back into the feasible region
-        matrix[src[r]][snk[c]] = matrix[src[r]][snk[c]] + amount
-        value += amount * costs[r][c]
+    if mode.is_exact:
+        flat, scale_c = scaled([v for row in costs for v in row])
+        k = len(snk)
+        int_costs = [flat[r * k:(r + 1) * k] for r in range(len(src))]
+        weights, scale_w = scaled(supply + demand)
+        flow = _transport_simplex(
+            int_costs, weights[: len(src)], weights[len(src):], 0, 0
+        )
+        total = 0
+        for (r, c), amount in flow.items():
+            matrix[src[r]][snk[c]] = Fraction(amount, scale_w)
+            total += amount * int_costs[r][c]
+        value = Fraction(total, scale_w * scale_c)
+    else:
+        flow = _transport_simplex(costs, supply, demand, mode.pivot_eps, mode.zero)
+        value = mode.zero
+        for (r, c), amount in flow.items():
+            if amount < 0:
+                amount = 0.0  # round simplex dust back into the feasible region
+            matrix[src[r]][snk[c]] = matrix[src[r]][snk[c]] + amount
+            value += amount * costs[r][c]
     plan = transport_plan(mu, nu, matrix)
     return value, plan
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, files, reproducibility."""
 
+import hashlib
 import json
 import os
 import re
@@ -154,6 +155,22 @@ class TestDist:
         }
         matrix = payload["certificate"]["plan"]["matrix"]
         assert matrix[0][2] == "1/2" and matrix[1][2] == "1/2"
+
+    STDOUT_DIGESTS = {
+        "exact": "f52e7c19bb470fac151d229d87c0e362f532ca739ad88323402850c19157fefe",
+        "float": "d25e91cb9cc401470e9d35c21d4dcd28f1e42bb7cc70a40d06fad3663c2b7d3d",
+    }
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_stdout_is_pinned_and_stderr_times_both_routes(self, workdir, mode):
+        proc = run_cli("dist", "mu.json", "nu.json", "--mode", mode, cwd=workdir)
+        assert proc.returncode == 0
+        digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
+        assert digest == self.STDOUT_DIGESTS[mode]
+        assert re.fullmatch(
+            r"dist: value=\S+ gap=\S+ \(dual \d+\.\d{3}s, primal \d+\.\d{3}s\)\n",
+            proc.stderr,
+        )
 
     @pytest.mark.parametrize("kind", ["plan", "potential"])
     def test_single_certificate(self, workdir, kind):

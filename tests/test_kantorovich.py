@@ -7,6 +7,7 @@ package are cross-examined by code sharing nothing with either.
 
 import hashlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -38,6 +39,7 @@ from zfun.generate import (
     random_space,
     rng_for,
 )
+from zfun.kantorovich import _transport_simplex
 
 from helpers import (
     assert_plan_feasible,
@@ -225,6 +227,93 @@ class TestDualVertexPin:
             lines.append(" ".join([format_number(value), *values]))
         digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
         assert digest == self.DIGESTS[kind]
+
+
+def fraction_primal(mu, nu):
+    """The transport simplex run on the ``Fraction``s themselves, threshold 0.
+
+    This is the exact primal route without integer scaling, the reference
+    that the scaled route must reproduce cell for cell.
+    """
+    space = mu.space
+    src = [space.index(p) for p, _ in mu.weights]
+    snk = [space.index(q) for q, _ in nu.weights]
+    costs = [[space.dist[i][j] for j in snk] for i in src]
+    flow = _transport_simplex(
+        costs,
+        [w for _, w in mu.weights],
+        [w for _, w in nu.weights],
+        Fraction(0),
+        Fraction(0),
+    )
+    n = len(space.points)
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    value = Fraction(0)
+    for (r, c), amount in flow.items():
+        matrix[src[r]][snk[c]] = amount
+        value += amount * costs[r][c]
+    return value, tuple(tuple(row) for row in matrix)
+
+
+def plain_measure(rng, space, full_support):
+    return random_measure(rng, space, full_support=full_support)
+
+
+def coprime_measure(rng, space, full_support):
+    """Weights over denominators with the coprime factors 7, 11 and 13."""
+    support = list(space.points) if full_support else rng.sample(
+        space.points, rng.randint(1, len(space.points))
+    )
+    s = len(support)
+    weights = {}
+    for i, p in enumerate(support[:-1]):
+        d = (7, 11, 13)[i % 3]
+        weights[p] = Fraction(rng.randint(1, d), d * s)  # at most 1/s each
+    weights[support[-1]] = 1 - sum(weights.values())
+    return prob_measure(space, weights)
+
+
+def lattice_pairs(rng):
+    """540 exact pairs on 2-12 points: sparse, full-support or identical
+    measures, plain or coprime-denominator weights, and distances either from
+    ``random_space`` or shifted off-diagonal by ``1/q`` for q >= 60 (adding
+    one constant to every off-diagonal distance keeps the triangle
+    inequality)."""
+    for trial in range(540):
+        space = random_space(rng, 2 + trial % 11)
+        if trial % 2:
+            q = rng.choice((60, 61, 64, 77, 97))
+            shift = [
+                [v + (Fraction(1, q) if i != j else 0) for j, v in enumerate(row)]
+                for i, row in enumerate(space.dist)
+            ]
+            space = validate_space(space.points, shift)
+        full = trial % 3 == 1
+        draw = coprime_measure if trial % 4 >= 2 else plain_measure
+        mu = draw(rng, space, full)
+        yield mu, mu if trial % 3 == 2 else draw(rng, space, full)
+
+
+class TestIntegerTransportMatchesFractions:
+    def test_plan_and_value_match_the_fraction_simplex(self):
+        max_dist_den = max_weight_lcm = 0
+        for mu, nu in lattice_pairs(rng_for(67, "integer-transport")):
+            value, plan = kantorovich_primal(mu, nu)
+            ref_value, ref_matrix = fraction_primal(mu, nu)
+            assert isinstance(value, Fraction)
+            assert value == ref_value
+            assert plan.matrix == ref_matrix
+            assert duality_gap(mu, nu) == 0
+            max_dist_den = max(
+                max_dist_den,
+                max(v.denominator for row in mu.space.dist for v in row),
+            )
+            weights = [w for _, w in mu.weights + nu.weights]
+            max_weight_lcm = max(
+                max_weight_lcm, lcm(*(w.denominator for w in weights))
+            )
+        assert max_dist_den >= 60
+        assert max_weight_lcm % (7 * 11 * 13) == 0
 
 
 class TestMetricAxioms:
