@@ -204,8 +204,9 @@ def cmd_validate(args) -> int:
 
 def cmd_dist(args) -> int:
     mode = _mode(args)
-    mu = fileio.load_measure(args.mu, mode)
-    nu = fileio.load_measure(args.nu, mode)
+    parsed: list = []  # a space both files give is parsed and validated once
+    mu = fileio.load_measure(args.mu, mode, parsed)
+    nu = fileio.load_measure(args.nu, mode, parsed)
     start = time.monotonic()
     dual_value, potential = kantorovich_dual(mu, nu)
     split = time.monotonic()

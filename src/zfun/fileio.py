@@ -46,14 +46,27 @@ def _require_keys(obj, keys, what: str) -> None:
         raise FormatError(f"{what} is missing keys: {missing}")
 
 
-def space_from_obj(obj, mode: Mode = EXACT, base: Path | None = None) -> FiniteMetricSpace:
+def space_from_obj(
+    obj, mode: Mode = EXACT, base: Path | None = None, parsed: list | None = None
+) -> FiniteMetricSpace:
+    """The space an inline object or a path string describes.
+
+    ``parsed`` lists ``(object, space)`` pairs already built in ``mode``: an
+    equal object reuses its space, a new one is validated and appended.
+    """
     obj = _resolve(obj, base)
+    for seen, space in parsed or ():
+        if seen == obj:
+            return space
     _require_keys(obj, ("points", "dist"), "a space")
     points = obj["points"]
     dist = obj["dist"]
     if not isinstance(points, list) or not isinstance(dist, list):
         raise FormatError("'points' must be a list and 'dist' a list of lists")
-    return validate_space(points, dist, mode)
+    space = validate_space(points, dist, mode)
+    if parsed is not None:
+        parsed.append((obj, space))
+    return space
 
 
 def space_to_obj(space: FiniteMetricSpace) -> dict:
@@ -86,10 +99,12 @@ def load_map(path: str | Path, mode: Mode = EXACT) -> MetricMap:
     return map_from_obj(load_json(path), mode, Path(path).parent)
 
 
-def measure_from_obj(obj, mode: Mode = EXACT, base: Path | None = None) -> ProbMeasure:
+def measure_from_obj(
+    obj, mode: Mode = EXACT, base: Path | None = None, parsed: list | None = None
+) -> ProbMeasure:
     obj = _resolve(obj, base)
     _require_keys(obj, ("space", "weights"), "a measure")
-    space = space_from_obj(obj["space"], mode, base)
+    space = space_from_obj(obj["space"], mode, base, parsed)
     weights = obj["weights"]
     if not isinstance(weights, dict):
         raise FormatError("'weights' must be an object mapping labels to numbers")
@@ -103,8 +118,11 @@ def measure_to_obj(mu: ProbMeasure) -> dict:
     }
 
 
-def load_measure(path: str | Path, mode: Mode = EXACT) -> ProbMeasure:
-    return measure_from_obj(load_json(path), mode, Path(path).parent)
+def load_measure(
+    path: str | Path, mode: Mode = EXACT, parsed: list | None = None
+) -> ProbMeasure:
+    """A measure file; ``parsed`` shares spaces across calls (:func:`space_from_obj`)."""
+    return measure_from_obj(load_json(path), mode, Path(path).parent, parsed)
 
 
 def potential_to_obj(f: LipschitzPotential) -> dict:

@@ -18,12 +18,18 @@ transportation matrix is totally unimodular, so integer supplies, demands
 and costs keep every flow and potential an integer without any division.
 The two routes share no solver code, only that lattice helper,
 :func:`numbers.scaled`.
+
+The exact dual keeps a Lipschitz or bound row only for an essential pair, one
+that no third point splits, so its program has the rows of the transshipment
+view (Ling & Okada 2007; Pele & Werman 2009) and not all (n-1)^2.  The float
+dual keeps every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -135,6 +141,27 @@ def _require_shared_space(mu: ProbMeasure, nu: ProbMeasure) -> FiniteMetricSpace
 # dual route: LP over the Lipschitz polytope
 
 
+def _essential_pairs(space: FiniteMetricSpace) -> list[list[bool]]:
+    """``keep[i][j]``: no third point splits (i, j) in an exact space.
+
+    A pair is essential when ``d(i, j) < d(i, k) + d(k, j)`` for every other
+    ``k``.  The test runs on the distances scaled to ``int``s, tolerance 0.
+    Distinct points lie at positive distance, so every other pair splits into
+    two strictly shorter ones; the metric is therefore the shortest-path
+    metric of its essential pairs.
+    """
+    n = len(space.points)
+    flat, _ = scaled([v for row in space.dist for v in row])
+    d = [flat[i * n:(i + 1) * n] for i in range(n)]
+    keep = [[False] * n for _ in range(n)]
+    for i, di in enumerate(d):
+        for j in range(i + 1, n):
+            # d(i, k) + d(k, j) for every k (d is symmetric); k = i and k = j
+            # always give d(i, j) itself
+            keep[i][j] = keep[j][i] = list(map(add, di, d[j])).count(di[j]) == 2
+    return keep
+
+
 def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPotential]:
     """Largest integral difference over 1-Lipschitz potentials, with certificate.
 
@@ -142,6 +169,15 @@ def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPo
     ``g_i = f_i + d(x0, xi)`` makes every variable nonnegative and every
     right-hand side nonnegative (triangle inequality), so the slack basis
     starts feasible.
+
+    Exact mode keeps a Lipschitz row ``g_i - g_j <= ...`` only for an
+    essential pair (i, j), and a bound row ``g_i <= 2 d(x0, xi)`` only for an
+    essential pair (0, i) (:func:`_essential_pairs`); kept rows stay in order.
+    A dropped row is the sum of kept ones along a shortest path of essential
+    pairs, and ``g >= 0`` is the other side of each bound row, so the
+    polytope and the optimum are those of the full program.  Float mode keeps
+    every row: a triangle equal only within tolerance would drop a row that
+    the others do not imply.
     """
     space = _require_shared_space(mu, nu)
     mode = space.mode
@@ -153,12 +189,15 @@ def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPo
         return zero, cert
 
     d = space.dist
+    keep = _essential_pairs(space) if mode.is_exact else [[True] * n for _ in range(n)]
     weight_gap = [mu.weight(p) - nu.weight(p) for p in pts]
     c = [weight_gap[i] for i in range(1, n)]
     rows: list[list[Num]] = []
     rhs: list[Num] = []
     # bound rows: g_i <= 2 d(0, i)
     for i in range(1, n):
+        if not keep[0][i]:
+            continue
         row = [zero] * (n - 1)
         row[i - 1] = mode.one
         rows.append(row)
@@ -166,7 +205,7 @@ def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPo
     # Lipschitz rows: g_i - g_j <= d(i, j) + d(0, i) - d(0, j)
     for i in range(1, n):
         for j in range(1, n):
-            if i == j:
+            if i == j or not keep[i][j]:
                 continue
             row = [zero] * (n - 1)
             row[i - 1] = mode.one

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import zfun
+from zfun import cli, fileio
 
 # The directory holding the zfun package under test. Child processes run in
 # temp directories, where a relative PYTHONPATH such as ``src`` no longer
@@ -209,6 +210,55 @@ class TestDist:
         )
         proc = run_cli("dist", "mu.json", "mu2.json", cwd=workdir)
         assert proc.returncode == 2
+
+    def test_a_shared_space_is_parsed_once(self, tmp_path, monkeypatch, capsys):
+        # inline in both files, and as the same path string from two
+        # directories whose space.json files are equal
+        calls = []
+        validate = fileio.validate_space
+
+        def counting(points, dist, mode):
+            calls.append(len(points))
+            return validate(points, dist, mode)
+
+        monkeypatch.setattr(fileio, "validate_space", counting)
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "space.json").write_text(json.dumps(SPACE))
+        (tmp_path / "a" / "mu.json").write_text(
+            json.dumps({"space": "space.json", "weights": {"a": "1/2", "b": "1/2"}})
+        )
+        (tmp_path / "b" / "nu.json").write_text(
+            json.dumps({"space": "space.json", "weights": {"c": "1"}})
+        )
+        (tmp_path / "mu.json").write_text(
+            json.dumps({"space": SPACE, "weights": {"a": "1/2", "b": "1/2"}})
+        )
+        (tmp_path / "nu.json").write_text(
+            json.dumps({"space": SPACE, "weights": {"c": "1"}})
+        )
+        for mu, nu in (("mu.json", "nu.json"), ("a/mu.json", "b/nu.json")):
+            calls.clear()
+            code = cli.main(["dist", str(tmp_path / mu), str(tmp_path / nu)])
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["value"] == "3/4"
+            assert calls == [3]
+
+    def test_a_path_string_resolves_against_its_own_file(self, workdir):
+        # nu.json names "space.json" too, but in another directory, where it
+        # is a different space: the two spaces differ
+        other = workdir / "other"
+        other.mkdir()
+        (other / "space.json").write_text(json.dumps(
+            {"points": ["a", "b", "c"],
+             "dist": [["0", "2", "1"], ["2", "0", "1"], ["1", "1", "0"]]}
+        ))
+        (other / "nu.json").write_text(
+            json.dumps({"space": "space.json", "weights": {"c": "1"}})
+        )
+        proc = run_cli("dist", "mu.json", "other/nu.json", cwd=workdir)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: both measures must live on the same space")
 
 
 class TestGlueAndPush:

@@ -6,6 +6,7 @@ package are cross-examined by code sharing nothing with either.
 """
 
 import hashlib
+import importlib
 from fractions import Fraction
 from math import lcm
 
@@ -40,6 +41,7 @@ from zfun.generate import (
     rng_for,
 )
 from zfun.kantorovich import _transport_simplex
+from zfun.simplexlp import solve_inequality_lp
 
 from helpers import (
     assert_plan_feasible,
@@ -314,6 +316,97 @@ class TestIntegerTransportMatchesFractions:
             )
         assert max_dist_den >= 60
         assert max_weight_lcm % (7 * 11 * 13) == 0
+
+
+def full_row_dual(mu, nu):
+    """The dual LP with every bound and Lipschitz row, none pruned.
+
+    This is the exact dual route before essential-pair pruning, the reference
+    whose optimum the pruned program must reproduce.  Returns the value and
+    the potential as a tuple in point order.
+    """
+    space = mu.space
+    d, n = space.dist, len(space.points)
+    c = [mu.weight(p) - nu.weight(p) for p in space.points[1:]]
+    rows, rhs = [], []
+    for i in range(1, n):
+        row = [0] * (n - 1)
+        row[i - 1] = 1
+        rows.append(row)
+        rhs.append(2 * d[0][i])
+    for i in range(1, n):
+        for j in range(1, n):
+            if i != j:
+                row = [0] * (n - 1)
+                row[i - 1], row[j - 1] = 1, -1
+                rows.append(row)
+                rhs.append(d[i][j] + d[0][i] - d[0][j])
+    lp_value, g = solve_inequality_lp(c, rows, rhs, EXACT)
+    shift = sum(c[i - 1] * d[0][i] for i in range(1, n))
+    return lp_value - shift, (Fraction(0), *(g[i - 1] - d[0][i] for i in range(1, n)))
+
+
+def dual_programs(rng):
+    """540 exact measure pairs: 528 on 2-12 points, then one on each of 13-24.
+
+    The pairs cycle through full-support, sparse and Dirac measures (two
+    Diracs may sit on one point).  Large sizes are few because the full-row
+    reference grows as n^2 rows.
+    """
+    sizes = [2 + t % 11 for t in range(528)] + list(range(13, 25))
+    for t, n in enumerate(sizes):
+        space = random_space(rng, n)
+        if t % 3 == 2:
+            yield dirac(space, rng.choice(space.points)), dirac(
+                space, rng.choice(space.points)
+            )
+        else:
+            full = t % 3 == 0
+            yield random_measure(rng, space, full_support=full), random_measure(
+                rng, space, full_support=full
+            )
+
+
+def path_space(mode):
+    """Six points on a line with uneven gaps: only neighbours are essential."""
+    at = [Fraction(v) for v in (0, 1, "5/2", 3, "17/4", 7)]
+    dist = [[mode.convert(abs(a - b)) for b in at] for a in at]
+    return validate_space([f"p{i}" for i in range(len(at))], dist, mode)
+
+
+class TestPrunedDualMatchesFullRows:
+    def test_value_matches_and_potential_is_lipschitz(self):
+        count = 0
+        for mu, nu in dual_programs(rng_for(71, "pruned-dual")):
+            value, potential = kantorovich_dual(mu, nu)
+            assert value == full_row_dual(mu, nu)[0]
+            assert_potential_feasible(mu.space, potential.as_dict())
+            assert potential_gap(potential, mu, nu) == value
+            count += 1
+        assert count == 540
+
+    @pytest.mark.parametrize(
+        "mode, expected", [(EXACT, 1 + 2 * 4), (float_mode(), 5 * 5)],
+        ids=["exact", "float"],
+    )
+    def test_kept_rows_on_a_path_metric(self, monkeypatch, mode, expected):
+        # exact: the bound row of (p0, p1) and both directions of the four
+        # neighbour pairs among p1..p5; float: all 5 bound and 20 Lipschitz rows
+        module = importlib.import_module("zfun.kantorovich")
+        shapes = []
+
+        def recording(c, rows, b, mode):
+            shapes.append(len(rows))
+            return solve_inequality_lp(c, rows, b, mode)
+
+        monkeypatch.setattr(module, "solve_inequality_lp", recording)
+        space = path_space(mode)
+        mu = prob_measure(space, {"p0": "1/2", "p3": "1/2"})
+        nu = prob_measure(space, {"p2": "1/3", "p5": "2/3"})
+        value, potential = kantorovich_dual(mu, nu)
+        assert shapes == [expected]
+        assert abs(value - kantorovich_primal(mu, nu)[0]) <= mode.tolerance
+        assert_potential_feasible(space, potential.as_dict(), mode.tolerance)
 
 
 class TestMetricAxioms:
