@@ -245,8 +245,9 @@ def cmd_glue(args) -> int:
 
 def cmd_push(args) -> int:
     mode = _mode(args)
-    f = fileio.load_map(args.map, mode)
-    mu = fileio.load_measure(args.measure, mode)
+    parsed: list = []  # a space the map and the measure share is parsed once
+    f = fileio.load_map(args.map, mode, parsed)
+    mu = fileio.load_measure(args.measure, mode, parsed)
     nu = pushforward(f, mu)
     _emit(fileio.measure_to_obj(nu), args)
     return 0

@@ -80,11 +80,14 @@ def load_space(path: str | Path, mode: Mode = EXACT) -> FiniteMetricSpace:
     return space_from_obj(load_json(path), mode, Path(path).parent)
 
 
-def map_from_obj(obj, mode: Mode = EXACT, base: Path | None = None) -> MetricMap:
+def map_from_obj(
+    obj, mode: Mode = EXACT, base: Path | None = None, parsed: list | None = None
+) -> MetricMap:
+    """A map object; ``parsed`` shares spaces across its domain, codomain and calls."""
     obj = _resolve(obj, base)
     _require_keys(obj, ("domain", "codomain", "assignment"), "a map")
-    domain = space_from_obj(obj["domain"], mode, base)
-    codomain = space_from_obj(obj["codomain"], mode, base)
+    domain = space_from_obj(obj["domain"], mode, base, parsed)
+    codomain = space_from_obj(obj["codomain"], mode, base, parsed)
     return metric_map(domain, codomain, assignment_from_obj(obj["assignment"]))
 
 
@@ -95,8 +98,11 @@ def assignment_from_obj(obj) -> dict[str, str]:
     return obj
 
 
-def load_map(path: str | Path, mode: Mode = EXACT) -> MetricMap:
-    return map_from_obj(load_json(path), mode, Path(path).parent)
+def load_map(
+    path: str | Path, mode: Mode = EXACT, parsed: list | None = None
+) -> MetricMap:
+    """A map file; ``parsed`` shares spaces across calls (:func:`space_from_obj`)."""
+    return map_from_obj(load_json(path), mode, Path(path).parent, parsed)
 
 
 def measure_from_obj(

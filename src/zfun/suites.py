@@ -93,7 +93,6 @@ from .spaces import (
     metric_map,
     metric_violations,
     sup_distance,
-    subspace,
     validate_space,
 )
 from .stepspace import (
@@ -205,28 +204,6 @@ class Report:
 # shrinking helpers
 
 
-def shrink_space(
-    space: FiniteMetricSpace,
-    still_fails: Callable[[FiniteMetricSpace], bool],
-) -> FiniteMetricSpace:
-    """Greedily drop points while the failure persists."""
-    current = space
-    changed = True
-    while changed and len(current.points) > 1:
-        changed = False
-        for p in current.points:
-            keep = tuple(q for q in current.points if q != p)
-            candidate = subspace(current, keep)
-            try:
-                if still_fails(candidate):
-                    current = candidate
-                    changed = True
-                    break
-            except ZfunError:
-                continue
-    return current
-
-
 def shrink_matrix_violation(points, matrix, mode: Mode) -> tuple[tuple[str, ...], str]:
     """Smallest point subset still violating some axiom, plus the axiom name."""
     pts = list(points)
@@ -315,7 +292,10 @@ def check(suite, stream, *records, trials=_every_trial, setup=None, when=_always
     trial count.  With ``trials=None`` the body runs once as
     ``body(rec, cfg, *extra)`` and counts its own instances.  ``extra`` is
     ``(setup(cfg),)`` when ``setup`` is given, built once per run of the
-    check.  A check whose ``when(cfg)`` is false emits no records.
+    check.  A check whose ``when(cfg)`` is false emits no records.  New
+    checks draw their spaces with :func:`_spaces` and test the functor laws
+    and the metric axioms with :func:`_functor_laws` and
+    :func:`_metric_axioms`.
     """
 
     def register(body):
@@ -323,6 +303,42 @@ def check(suite, stream, *records, trials=_every_trial, setup=None, when=_always
         return body
 
     return register
+
+
+def _spaces(rng, mode: Mode, *ranges) -> list[FiniteMetricSpace]:
+    """Spaces prefixed "a", "b", "c", each size drawn from its range just before it."""
+    return [
+        generate.random_space(rng, rng.randint(lo, hi), prefix=prefix, mode=mode)
+        for prefix, (lo, hi) in zip("abc", ranges)
+    ]
+
+
+def _functor_laws(rec, trial, identity, composition, witnesses=({}, {})) -> None:
+    """Fail ``rec`` on the identity law, or else on the composition law.
+
+    Each law is a thunk that says whether it holds; ``composition`` runs only
+    when ``identity`` holds.  ``witnesses`` adds fields to each law's failure.
+    """
+    if not identity():
+        rec.fail(trial, law="identity", **witnesses[0])
+    elif not composition():
+        rec.fail(trial, law="composition", **witnesses[1])
+
+
+def _metric_axioms(rec, trial, mode: Mode, dist, x, y, z, positivity=True) -> None:
+    """Fail ``rec`` on the first of identity, positivity (unless ``positivity`` is
+    false), symmetry and triangle that ``dist`` breaks on ``x, y, z``; nothing
+    after it is computed, and ``dist(x, y)`` only once."""
+    if not mode.is_zero(dist(x, x)):
+        rec.fail(trial, law="identity")
+        return
+    xy = dist(x, y)
+    if positivity and x != y and not mode.positive(xy):
+        rec.fail(trial, law="positivity")
+    elif not mode.eq(xy, dist(y, x)):
+        rec.fail(trial, law="symmetry")
+    elif not mode.leq(dist(x, z), xy + dist(y, z)):
+        rec.fail(trial, law="triangle")
 
 
 # ---------------------------------------------------------------------------
@@ -427,24 +443,20 @@ def _check_glue_diameter(rec, trial, rng, mode):
 
 @check("metric", "metric:glue-functor-laws", ("glue-functor-laws", "(Λ1)"))
 def _check_glue_functor_laws(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
-    c = generate.random_space(rng, rng.randint(1, 4), prefix="c", mode=mode)
+    a, b, c = _spaces(rng, mode, (1, 4), (1, 4), (1, 4))
     f = generate.random_map(rng, a, b)
     g = generate.random_map(rng, b, c)
-    if glue_map(identity_map(a)) != identity_map(glue_space(a)):
-        rec.fail(trial, law="identity", space=list(a.points))
-        return
-    lhs = glue_map(compose(g, f))
-    rhs = compose(glue_map(g), glue_map(f))
-    if lhs != rhs:
-        rec.fail(trial, law="composition", domain=list(a.points))
+    _functor_laws(
+        rec, trial,
+        lambda: glue_map(identity_map(a)) == identity_map(glue_space(a)),
+        lambda: glue_map(compose(g, f)) == compose(glue_map(g), glue_map(f)),
+        witnesses=({"space": list(a.points)}, {"domain": list(a.points)}),
+    )
 
 
 @check("metric", "metric:glue-naturality", ("glue-embedding-naturality", "(Λ3)"))
 def _check_glue_naturality(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 5), (1, 5))
     f = generate.random_map(rng, a, b)
     gf = glue_map(f)
     for p in a.points:
@@ -461,28 +473,16 @@ def _check_glue_naturality(rec, trial, rng, mode):
 
 @check("metric", "metric:sup-axioms", ("sup-metric-axioms", "plumbing"))
 def _check_sup_metric_axioms(rec, trial, rng, mode):
-    dom = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-    cod = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
+    dom, cod = _spaces(rng, mode, (1, 4), (2, 4))
     f = generate.random_map(rng, dom, cod)
     g = generate.random_map(rng, dom, cod)
     h = generate.random_map(rng, dom, cod)
-    if not mode.is_zero(sup_distance(f, f)):
-        rec.fail(trial, law="identity")
-        return
-    if f != g and not mode.positive(sup_distance(f, g)):
-        rec.fail(trial, law="positivity")
-        return
-    if not mode.eq(sup_distance(f, g), sup_distance(g, f)):
-        rec.fail(trial, law="symmetry")
-        return
-    if not mode.leq(sup_distance(f, h), sup_distance(f, g) + sup_distance(g, h)):
-        rec.fail(trial, law="triangle")
+    _metric_axioms(rec, trial, mode, sup_distance, f, g, h)
 
 
 @check("metric", "metric:glue-sup-isometry", ("glue-sup-isometry", "(Λ5)"))
 def _check_glue_sup_isometry(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(2, 5), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 5), (2, 5))
     f = generate.random_map(rng, a, b)
     g = generate.random_map(rng, a, b)
     plain = sup_distance(f, g)
@@ -497,8 +497,7 @@ def _check_glue_sup_isometry(rec, trial, rng, mode):
 
 @check("measure", "measure:mass", ("mass-conservation", "plumbing"))
 def _check_mass_conservation(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 5), (1, 5))
     f = generate.random_map(rng, a, b)
     mu = generate.random_measure(rng, a)
     nu = pushforward(f, mu)
@@ -511,25 +510,21 @@ def _check_mass_conservation(rec, trial, rng, mode):
 
 @check("measure", "measure:functor-laws", ("pushforward-functor-laws", "(Λ1)"))
 def _check_push_functor_laws(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
-    c = generate.random_space(rng, rng.randint(1, 4), prefix="c", mode=mode)
+    a, b, c = _spaces(rng, mode, (1, 4), (1, 4), (1, 4))
     f = generate.random_map(rng, a, b)
     g = generate.random_map(rng, b, c)
     mu = generate.random_measure(rng, a)
-    if not measures_equal(pushforward(identity_map(a), mu), mu):
-        rec.fail(trial, law="identity")
-        return
-    lhs = pushforward(compose(g, f), mu)
-    rhs = pushforward(g, pushforward(f, mu))
-    if not measures_equal(lhs, rhs):
-        rec.fail(trial, law="composition")
+    _functor_laws(
+        rec, trial,
+        lambda: measures_equal(pushforward(identity_map(a), mu), mu),
+        lambda: measures_equal(pushforward(compose(g, f), mu),
+                               pushforward(g, pushforward(f, mu))),
+    )
 
 
 @check("measure", "measure:dirac-naturality", ("dirac-naturality", "(Λ3)"))
 def _check_dirac_naturality(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 5), (1, 5))
     f = generate.random_map(rng, a, b)
     for p in a.points:
         if not measures_equal(pushforward(f, dirac(a, p)), dirac(b, f(p))):
@@ -539,8 +534,7 @@ def _check_dirac_naturality(rec, trial, rng, mode):
 
 @check("measure", "measure:affinity", ("pushforward-affinity", "plumbing"))
 def _check_affinity(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 5), (1, 5))
     f = generate.random_map(rng, a, b)
     mu = generate.random_measure(rng, a)
     nu = generate.random_measure(rng, a)
@@ -553,8 +547,7 @@ def _check_affinity(rec, trial, rng, mode):
 
 @check("measure", "measure:change-of-variables", ("change-of-variables", "plumbing"))
 def _check_change_of_variables(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 5), (1, 5))
     f = generate.random_map(rng, a, b)
     mu = generate.random_measure(rng, a)
     g = {
@@ -568,8 +561,7 @@ def _check_change_of_variables(rec, trial, rng, mode):
 
 @check("measure", "measure:image", ("image-characterization", "(d)"))
 def _check_image_characterization(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 4), (1, 4))
     f = generate.random_map(rng, a, b)
     if trial % 2 == 0:
         nu = pushforward(f, generate.random_measure(rng, a))
@@ -586,8 +578,7 @@ def _check_image_characterization(rec, trial, rng, mode):
 
 @check("measure", "measure:injectivity", ("injectivity-transfer", "(c)"))
 def _check_injectivity_transfer(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 4), (1, 4))
     f = generate.random_map(rng, a, b)
     if not injectivity_transfer_check(f):
         rec.fail(trial, map=f.as_dict())
@@ -595,8 +586,7 @@ def _check_injectivity_transfer(rec, trial, rng, mode):
 
 @check("measure", "measure:surjectivity", ("surjectivity-transfer", "(e)"))
 def _check_surjectivity_transfer(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 4), (1, 4))
     f = generate.random_map(rng, a, b)
     surjective = is_surjective(f)
     dirac_hits = all(in_image(f, dirac(b, q)) for q in b.points)
@@ -654,8 +644,7 @@ def _check_diameter_preservation(rec, trial, rng, mode):
 @check("kantorovich", "kantorovich:map-isometry", ("map-pushforward-isometry", "(Λ5)"),
        trials=_half_trials)
 def _check_map_isometry(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 4), (2, 4))
     phi = generate.random_map(rng, a, b)
     psi = generate.random_map(rng, a, b)
     sampled = [generate.random_measure(rng, a) for _ in range(2)]
@@ -671,20 +660,7 @@ def _check_kantorovich_axioms(rec, trial, rng, mode):
     mu = generate.random_measure(rng, space)
     nu = generate.random_measure(rng, space)
     lam = generate.random_measure(rng, space)
-    if not mode.is_zero(kantorovich(mu, mu)):
-        rec.fail(trial, law="identity")
-        return
-    if mode.is_exact and mu != nu and not kantorovich(mu, nu) > 0:
-        rec.fail(trial, law="positivity")
-        return
-    if not mode.eq(kantorovich(mu, nu), kantorovich(nu, mu)):
-        rec.fail(trial, law="symmetry")
-        return
-    if not mode.leq(
-        kantorovich(mu, lam),
-        kantorovich(mu, nu) + kantorovich(nu, lam),
-    ):
-        rec.fail(trial, law="triangle")
+    _metric_axioms(rec, trial, mode, kantorovich, mu, nu, lam, positivity=mode.is_exact)
 
 
 @check("kantorovich", "kantorovich:certificates", ("certificate-feasibility", "plumbing"),
@@ -709,8 +685,7 @@ def _check_certificates(rec, trial, rng, mode):
 @check("kantorovich", "kantorovich:convergence", ("pointwise-convergence-bound", "(h)"),
        trials=_half_trials)
 def _check_convergence_bound(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 4), (2, 4))
     phi = generate.random_map(rng, a, b)
     psi = generate.random_map(rng, a, b)
     bound = sup_distance(phi, psi)
@@ -777,18 +752,17 @@ def _check_extension_restricts(rec, trial, rng, mode, ctx):
 
 @check("scheme", "scheme:functor-laws", ("extension-functor-laws", "(a)"), setup=_fixture)
 def _check_extension_functor_laws(rec, trial, rng, mode, ctx):
-    k_sp = member_space(ctx, rng.choice(ctx.family))
-    l_sp = member_space(ctx, rng.choice(ctx.family))
-    m_sp = member_space(ctx, rng.choice(ctx.family))
+    k_sp, l_sp, m_sp = (member_space(ctx, rng.choice(ctx.family)) for _ in range(3))
     phi = generate.random_map(rng, k_sp, l_sp)
     psi = generate.random_map(rng, l_sp, m_sp)
-    if extend_map(ctx, identity_map(k_sp)).extension != identity_map(ctx.ambient):
-        rec.fail(trial, law="identity", member=list(k_sp.points))
-        return
-    lhs = extend_map(ctx, compose(psi, phi)).extension
-    rhs = compose(extend_map(ctx, psi).extension, extend_map(ctx, phi).extension)
-    if lhs != rhs:
-        rec.fail(trial, law="composition", domain=list(k_sp.points))
+    _functor_laws(
+        rec, trial,
+        lambda: extend_map(ctx, identity_map(k_sp)).extension == identity_map(ctx.ambient),
+        lambda: extend_map(ctx, compose(psi, phi)).extension == compose(
+            extend_map(ctx, psi).extension, extend_map(ctx, phi).extension
+        ),
+        witnesses=({"member": list(k_sp.points)}, {"domain": list(k_sp.points)}),
+    )
 
 
 @check("scheme", "scheme:transfers",
@@ -858,18 +832,17 @@ def _check_extension_isometry(rec, trial, rng, mode, ctx):
        trials=_padded_trials, setup=_fixture)
 def _check_padded_functor(records, trial, rng, mode, ctx):
     laws, natural, isom, supiso = records
-    k_m = rng.choice(ctx.family)
-    l_m = rng.choice(ctx.family)
-    m_m = rng.choice(ctx.family)
+    k_m, l_m, m_m = (rng.choice(ctx.family) for _ in range(3))
     k_sp, l_sp, m_sp = (member_space(ctx, m) for m in (k_m, l_m, m_m))
     phi = generate.random_map(rng, k_sp, l_sp)
     psi = generate.random_map(rng, l_sp, m_sp)
-    if padded_map(ctx, identity_map(k_sp)) != identity_map(padded_space(ctx, k_m)):
-        laws.fail(trial, law="identity")
-    elif padded_map(ctx, compose(psi, phi)) != compose(
-        padded_map(ctx, psi), padded_map(ctx, phi)
-    ):
-        laws.fail(trial, law="composition")
+    _functor_laws(
+        laws, trial,
+        lambda: padded_map(ctx, identity_map(k_sp)) == identity_map(padded_space(ctx, k_m)),
+        lambda: padded_map(ctx, compose(psi, phi)) == compose(
+            padded_map(ctx, psi), padded_map(ctx, phi)
+        ),
+    )
     padded_phi = padded_map(ctx, phi)
     if any(padded_phi(x) != phi(x) for x in k_sp.points) or any(
         padded_phi(p) != p for p in ctx.pad.points
@@ -972,20 +945,7 @@ def _check_integral_axioms(rec, trial, rng, mode):
     f = generate.random_step_function(rng, target)
     g = generate.random_step_function(rng, target)
     h = generate.random_step_function(rng, target)
-    if not mode.is_zero(integral_metric(f, f)):
-        rec.fail(trial, law="identity")
-        return
-    if mode.is_exact and f != g and not integral_metric(f, g) > 0:
-        rec.fail(trial, law="positivity")
-        return
-    if not mode.eq(integral_metric(f, g), integral_metric(g, f)):
-        rec.fail(trial, law="symmetry")
-        return
-    if not mode.leq(
-        integral_metric(f, h),
-        integral_metric(f, g) + integral_metric(g, h),
-    ):
-        rec.fail(trial, law="triangle")
+    _metric_axioms(rec, trial, mode, integral_metric, f, g, h, positivity=mode.is_exact)
 
 
 @check("step", "step:constants", ("constant-embedding-isometry", "(Λ4)"))
@@ -1000,25 +960,21 @@ def _check_constant_isometry(rec, trial, rng, mode):
 
 @check("step", "step:functor-laws", ("pushforward-functor-laws", "(Λ1)"))
 def _check_step_functor_laws(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
-    c = generate.random_space(rng, rng.randint(1, 4), prefix="c", mode=mode)
+    a, b, c = _spaces(rng, mode, (1, 4), (1, 4), (1, 4))
     f = generate.random_map(rng, a, b)
     g = generate.random_map(rng, b, c)
     u = generate.random_step_function(rng, a)
-    if compose_pushforward(identity_map(a), u) != u:
-        rec.fail(trial, law="identity")
-        return
-    lhs = compose_pushforward(compose(g, f), u)
-    rhs = compose_pushforward(g, compose_pushforward(f, u))
-    if lhs != rhs:
-        rec.fail(trial, law="composition")
+    _functor_laws(
+        rec, trial,
+        lambda: compose_pushforward(identity_map(a), u) == u,
+        lambda: compose_pushforward(compose(g, f), u)
+        == compose_pushforward(g, compose_pushforward(f, u)),
+    )
 
 
 @check("step", "step:naturality", ("pushforward-naturality", "(Λ3)"))
 def _check_step_naturality(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 5), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(1, 5), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 5), (1, 5))
     f = generate.random_map(rng, a, b)
     x = rng.choice(a.points)
     lhs = compose_pushforward(f, dirac_const(a, x))
@@ -1028,8 +984,7 @@ def _check_step_naturality(rec, trial, rng, mode):
 
 @check("step", "step:sup-bound", ("pushforward-sup-bound", "(Λ5)"))
 def _check_step_sup_bound(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(2, 4), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 4), (2, 4))
     phi = generate.random_map(rng, a, b)
     psi = generate.random_map(rng, a, b)
     bound = sup_distance(phi, psi)
@@ -1078,8 +1033,7 @@ def _check_head_witness(rec, trial, rng, mode):
 
 @check("step", "step:selection", ("preimage-selection-round-trip", "(d)"))
 def _check_selection_round_trip(rec, trial, rng, mode):
-    a = generate.random_space(rng, rng.randint(1, 4), prefix="a", mode=mode)
-    b = generate.random_space(rng, rng.randint(1, 4), prefix="b", mode=mode)
+    a, b = _spaces(rng, mode, (1, 4), (1, 4))
     f = generate.random_map(rng, a, b)
     u = generate.random_step_function(rng, a)
     v = compose_pushforward(f, u)

@@ -288,6 +288,32 @@ class TestGlueAndPush:
             "error: 'assignment' must be an object of label pairs"
         ]
 
+    def test_a_space_the_map_and_measure_share_is_parsed_once(
+        self, workdir, monkeypatch, capsys
+    ):
+        calls = []
+        validate = fileio.validate_space
+
+        def counting(points, dist, mode):
+            calls.append(len(points))
+            return validate(points, dist, mode)
+
+        monkeypatch.setattr(fileio, "validate_space", counting)
+        code = cli.main(["push", str(workdir / "map.json"), str(workdir / "mu.json")])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["weights"] == {"b": "1"}
+        assert calls == [3]
+
+    def test_a_measure_on_another_space_exits_two(self, workdir, capsys):
+        (workdir / "other.json").write_text(
+            json.dumps({"space": {"points": ["z"], "dist": [["0"]]}, "weights": {"z": "1"}})
+        )
+        code = cli.main(["push", str(workdir / "map.json"), str(workdir / "other.json")])
+        assert code == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: measure does not live on the map's domain"
+        ]
+
 
 class TestExtend:
     def setup_files(self, tmp):

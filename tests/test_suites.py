@@ -1,4 +1,5 @@
-"""The property-check suites: determinism, tags, defect injection, shrinking."""
+"""The property-check suites: determinism, tags, defect injection, law helpers,
+shrinking."""
 
 import hashlib
 import json
@@ -15,7 +16,6 @@ from zfun import (
     float_mode,
     run_suite,
     suites,
-    validate_space,
 )
 from zfun.suites import (
     MAX_WITNESSES,
@@ -23,8 +23,8 @@ from zfun.suites import (
     TAGS,
     CheckRecord,
     shrink_matrix_violation,
-    shrink_space,
 )
+from zfun.spaces import metric_map
 
 
 def small_cfg(**kw) -> RunConfig:
@@ -88,17 +88,41 @@ class TestRunSuite:
         report = run_suite("scheme", small_cfg(seed=3, trials=10, n=6, k=3))
         assert report.passed
 
-    def test_float_report_bytes_are_pinned(self):
-        report = run_suite("all", RunConfig(mode=float_mode(), seed=42, trials=100))
-        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
-        assert digest == "46405c368ec0f3a7871015981ed9b6bd0b8ef6e5c4a2dc8eeb25b13277836459"
-
-    def test_larger_fixture_report_bytes_are_pinned(self):
+    @pytest.mark.parametrize("suite, cfg, expected", [
+        pytest.param(
+            "all", RunConfig(mode=float_mode(), seed=42, trials=100),
+            "46405c368ec0f3a7871015981ed9b6bd0b8ef6e5c4a2dc8eeb25b13277836459",
+            id="float-seed-42",
+        ),
         # at n = 8, k = 3 each member has a 5-point pad, so
         # decomposition-factorization factors 720 bijections (4 at n = 4, k = 2)
-        report = run_suite("all", RunConfig(seed=42, trials=100, n=8, k=3))
+        pytest.param(
+            "all", RunConfig(seed=42, trials=100, n=8, k=3),
+            "cd5fed6d0d26638f02657d5c1d174880dfcab3095943a32ed364ba28c2b05b35",
+            id="n8-k3-seed-42",
+        ),
+        pytest.param(
+            "all", RunConfig(mode=float_mode(1e-3), seed=7, trials=12, n=7, k=2),
+            "d15dd20fdb2889adceb36d6b861d36e2fc274405e0b7f2142d24d35a1098054b",
+            id="float-1e-3-n7-k2",
+        ),
+        # a one-point pad: the padded and metric-extension checks emit nothing
+        pytest.param(
+            "all", RunConfig(seed=0, trials=12, n=2, k=1),
+            "b4773a6c211ebb9f0ddfeff0a78a40b99272591b134b06c5cf1a93ce154477f3",
+            id="n2-k1-seed-0",
+        ),
+        # fails by design, so this pins the failure witnesses
+        pytest.param(
+            "metric", RunConfig(seed=3, trials=30, inject_glue_defect=True),
+            "b14e6b7bef645d4768e7d6950aa4211d517d2e902044c4133fcc71a8774d7769",
+            id="glue-defect",
+        ),
+    ])
+    def test_report_bytes_are_pinned(self, suite, cfg, expected):
+        report = run_suite(suite, cfg)
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
-        assert digest == "cd5fed6d0d26638f02657d5c1d174880dfcab3095943a32ed364ba28c2b05b35"
+        assert digest == expected
 
 
 def _boom(*args, **kwargs):
@@ -205,10 +229,88 @@ class TestShrinking:
         assert axiom == "triangle"
         assert set(shrunk) == {"x", "y", "z"}
 
-    def test_shrink_space_keeps_failure_alive(self):
-        space = validate_space(
-            ("p", "q", "r"),
-            [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]],
-        )
-        shrunk = shrink_space(space, lambda sub: "q" in sub.points)
-        assert shrunk.points == ("q",)
+
+def _never():
+    raise AssertionError("a law after the first failure was evaluated")
+
+
+def _onto_last_point(domain, codomain):
+    """The map sending every point of ``domain`` to the last point of ``codomain``."""
+    return metric_map(domain, codomain, {p: codomain.points[-1] for p in domain.points})
+
+
+class TestFunctorLaws:
+    def test_composition_is_skipped_when_identity_fails(self):
+        rec = CheckRecord("laws", "(Λ1)")
+        suites._functor_laws(rec, 4, lambda: False, _never,
+                             witnesses=({"space": ["a0"]}, {"domain": ["a0"]}))
+        assert rec.failures == [{"instance": "4", "law": "identity", "space": ["a0"]}]
+
+    def test_composition_failure_carries_its_witness(self):
+        rec = CheckRecord("laws", "(Λ1)")
+        suites._functor_laws(rec, 2, lambda: True, lambda: False,
+                             witnesses=({"space": ["a0"]}, {"domain": ["a0"]}))
+        assert rec.failures == [{"instance": "2", "law": "composition", "domain": ["a0"]}]
+
+    def test_laws_that_hold_record_nothing(self):
+        rec = CheckRecord("laws", "(Λ1)")
+        suites._functor_laws(rec, 0, lambda: True, lambda: True)
+        assert rec.passed
+
+    @pytest.mark.parametrize("suite, name, patched, law, keys", [
+        ("metric", "glue-functor-laws", "glue_space", "identity", "space"),
+        ("metric", "glue-functor-laws", "compose", "composition", "domain"),
+        ("scheme", "extension-functor-laws", "identity_map", "identity", "member"),
+        ("scheme", "extension-functor-laws", "compose", "composition", "domain"),
+        ("scheme", "padded-functor-laws", "identity_map", "identity", None),
+        ("step", "pushforward-functor-laws", "compose", "composition", None),
+    ])
+    def test_witness_keys_of_the_real_checks(self, monkeypatch, suite, name,
+                                             patched, law, keys):
+        broken = {"glue_space": lambda space, anchor=None: space,
+                  "identity_map": lambda space: _onto_last_point(space, space),
+                  "compose": lambda g, f: _onto_last_point(f.domain, g.codomain)}
+        monkeypatch.setattr(suites, patched, broken[patched])
+        report = run_suite(suite, small_cfg(trials=10))
+        (record,) = [r for r in report.records if r.name == name]
+        assert record.failures
+        for failure in record.failures:
+            expected = ["instance", "law"] + ([keys] if keys else [])
+            assert list(failure) == expected
+            assert failure["law"] == law
+
+
+class TestMetricAxioms:
+    @staticmethod
+    def table(**broken):
+        """A metric on x, y, z with every distance 1, except the ``broken`` pairs."""
+        dist = {(p, q): 0 if p == q else 1 for p in "xyz" for q in "xyz"}
+        dist.update({tuple(pair): value for pair, value in broken.items()})
+        return dist
+
+    def run(self, dist, positivity=True):
+        rec = CheckRecord("axioms", "plumbing")
+        calls = []
+
+        def lookup(p, q):
+            calls.append(p + q)
+            return dist[p, q]
+
+        suites._metric_axioms(rec, 0, EXACT, lookup, "x", "y", "z",
+                              positivity=positivity)
+        return [f["law"] for f in rec.failures], calls
+
+    @pytest.mark.parametrize("broken, law, calls", [
+        ({"xx": 1, "xy": 0, "yx": 2, "xz": 5}, "identity", ["xx"]),
+        ({"xy": 0, "yx": 2, "xz": 5}, "positivity", ["xx", "xy"]),
+        ({"yx": 2, "xz": 5}, "symmetry", ["xx", "xy", "yx"]),
+        ({"xz": 5}, "triangle", ["xx", "xy", "yx", "xz", "yz"]),
+        ({}, None, ["xx", "xy", "yx", "xz", "yz"]),
+    ])
+    def test_first_broken_law_and_nothing_after_it(self, broken, law, calls):
+        assert self.run(self.table(**broken)) == ([law] if law else [], calls)
+
+    def test_positivity_can_be_skipped(self):
+        dist = self.table(xy=0, yx=0, xz=0)
+        assert self.run(dist, positivity=False) == ([], ["xx", "xy", "yx", "xz", "yz"])
+        assert self.run(dist)[0] == ["positivity"]
