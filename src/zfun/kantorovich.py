@@ -19,16 +19,20 @@ and costs keep every flow and potential an integer without any division.
 The two routes share no solver code, only that lattice helper,
 :func:`numbers.scaled`.
 
-The exact dual keeps a Lipschitz or bound row only for an essential pair, one
-that no third point splits, so its program has the rows of the transshipment
-view (Ling & Okada 2007; Pele & Werman 2009) and not all (n-1)^2.  The float
-dual keeps every row.
+The dual keeps a Lipschitz or bound row only for an essential pair, one that
+no third point splits, so its program has the rows of the transshipment view
+(Ling & Okada 2007; Pele & Werman 2009) and not all (n-1)^2.  Exact mode
+tests the split on integers; float mode accepts a split only when it is equal
+to within a few ulps of the pair's distance, so a triangle that holds only
+within the tolerance keeps its row, and keeps every row when the distances
+are too coarse for a few ulps to fit in the tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ulp
 from operator import add
 from typing import Mapping, Sequence
 
@@ -140,25 +144,79 @@ def _require_shared_space(mu: ProbMeasure, nu: ProbMeasure) -> FiniteMetricSpace
 # ---------------------------------------------------------------------------
 # dual route: LP over the Lipschitz polytope
 
+# ulps of d(i, j) within which a float split of (i, j) counts as equality
+_ULP_SLACK = 4
+
 
 def _essential_pairs(space: FiniteMetricSpace) -> list[list[bool]]:
-    """``keep[i][j]``: no third point splits (i, j) in an exact space.
+    """``keep[i][j]``: no third point splits the ordered pair (i, j).
 
-    A pair is essential when ``d(i, j) < d(i, k) + d(k, j)`` for every other
-    ``k``.  The test runs on the distances scaled to ``int``s, tolerance 0.
-    Distinct points lie at positive distance, so every other pair splits into
-    two strictly shorter ones; the metric is therefore the shortest-path
-    metric of its essential pairs.
+    Row (i, j) of the dual is ``g_i - g_j <= e(i, j) + d(0, i) - d(0, j)``,
+    where ``e`` is ``d`` read with ``d(0, i)`` both ways at the base point
+    (the bound row ``g_i <= 2 d(0, i)`` is row (i, 0)).  A point ``k`` splits
+    (i, j) when ``e(i, k)`` and ``e(k, j)`` are both shorter than ``e(i, j)``
+    and sum to it; rows (i, k) and (k, j) then add up to row (i, j).  Exact
+    mode tests the sum on the distances scaled to ``int``s, tolerance 0;
+    there ``d`` is symmetric and positive off the diagonal, so ``keep`` is
+    symmetric and both parts are shorter.
+
+    Float mode accepts a sum within ``_ULP_SLACK`` ulps of ``e(i, j)`` and
+    tests the strictness itself.  That slack covers the rounding of exact
+    rational distances to floats and is far below the tolerance, so a
+    triangle, or an asymmetry, that the validator accepted only within
+    ``mode.tolerance`` splits nothing and its row stays.  A split also needs
+    rows (i, k) and (k, j) whose right-hand sides are not raised from below
+    zero by more than rounding, since a raised row no longer adds up.  Every
+    dropped row is thus split into strictly shorter ones, down to kept rows,
+    and is implied by them up to a few ulps per split.  When the distances
+    are so coarse that those ulps, over a chain of up to ``n`` points, are
+    not far below the tolerance, no row is dropped.
     """
     n = len(space.points)
-    flat, _ = scaled([v for row in space.dist for v in row])
-    d = [flat[i * n:(i + 1) * n] for i in range(n)]
     keep = [[False] * n for _ in range(n)]
-    for i, di in enumerate(d):
-        for j in range(i + 1, n):
-            # d(i, k) + d(k, j) for every k (d is symmetric); k = i and k = j
-            # always give d(i, j) itself
-            keep[i][j] = keep[j][i] = list(map(add, di, d[j])).count(di[j]) == 2
+    if space.mode.is_exact:
+        flat, _ = scaled([v for row in space.dist for v in row])
+        d = [flat[i * n:(i + 1) * n] for i in range(n)]
+        for i, di in enumerate(d):
+            for j in range(i + 1, n):
+                # d(i, k) + d(k, j) for every k (d is symmetric); k = i and
+                # k = j always give d(i, j) itself
+                keep[i][j] = keep[j][i] = list(map(add, di, d[j])).count(di[j]) == 2
+        return keep
+    d = space.dist
+    # a chain gains a few ulps of the largest distance per split and per row
+    # that rounding raised, up to 2n of them, which must fit in the tolerance
+    if 4 * n * _ULP_SLACK * ulp(max(map(max, d))) > space.mode.tolerance:
+        return [[i != j for j in range(n)] for i in range(n)]
+    e = [list(row) for row in d]
+    for i in range(1, n):
+        e[i][0] = d[0][i]
+    cols = [list(col) for col in zip(*e)]
+    d0 = d[0]
+    # whether row (x, y) is raised by no more than rounding; rows at the base
+    # point have right-hand sides 2 d(0, x) and 0
+    adds_up = [
+        [x == 0 or y == 0 or e[x][y] + d0[x] - d0[y] >= -_ULP_SLACK * ulp(d0[y])
+         for y in range(n)]
+        for x in range(n)
+    ]
+    # (i, j) and (j, i) split alike when e is symmetric and every row adds up
+    mirror = e == cols and all(map(all, adds_up))
+    for i, ei in enumerate(e):
+        ai = adds_up[i]
+        for j in range(i + 1 if mirror else 0, n):
+            if i == j:
+                continue
+            cj, eij = cols[j], ei[j]
+            slack = _ULP_SLACK * ulp(eij)
+            # k = i and k = j sum to e(i, j) but are not strictly shorter
+            keep[i][j] = not any(
+                abs(s - eij) <= slack and ei[k] < eij and cj[k] < eij
+                and ai[k] and adds_up[k][j]
+                for k, s in enumerate(map(add, ei, cj))
+            )
+            if mirror:
+                keep[j][i] = keep[i][j]
     return keep
 
 
@@ -168,16 +226,19 @@ def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPo
     The potential is normalized to vanish at the first point.  Substituting
     ``g_i = f_i + d(x0, xi)`` makes every variable nonnegative and every
     right-hand side nonnegative (triangle inequality), so the slack basis
-    starts feasible.
+    starts feasible.  In float mode a triangle may be violated within the
+    tolerance, so a right-hand side below zero is raised to zero.
 
-    Exact mode keeps a Lipschitz row ``g_i - g_j <= ...`` only for an
-    essential pair (i, j), and a bound row ``g_i <= 2 d(x0, xi)`` only for an
-    essential pair (0, i) (:func:`_essential_pairs`); kept rows stay in order.
-    A dropped row is the sum of kept ones along a shortest path of essential
-    pairs, and ``g >= 0`` is the other side of each bound row, so the
-    polytope and the optimum are those of the full program.  Float mode keeps
-    every row: a triangle equal only within tolerance would drop a row that
-    the others do not imply.
+    A Lipschitz row ``g_i - g_j <= ...`` is kept only for an essential pair
+    (i, j), and a bound row ``g_i <= 2 d(x0, xi)`` only for an essential pair
+    (i, 0) (:func:`_essential_pairs`); kept rows stay in order.  A dropped
+    row is the sum of kept ones along a chain of strictly shorter pairs, and
+    ``g >= 0`` is the other side of each bound row, so the polytope and the
+    optimum are those of the full program.  In float mode the chain may
+    exceed the dropped row by a few ulps per split; a triangle or an
+    asymmetry that holds only within the tolerance splits nothing, and no
+    chain runs through a raised row, so neither drops a row that the kept
+    ones do not imply.
     """
     space = _require_shared_space(mu, nu)
     mode = space.mode
@@ -189,14 +250,14 @@ def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPo
         return zero, cert
 
     d = space.dist
-    keep = _essential_pairs(space) if mode.is_exact else [[True] * n for _ in range(n)]
+    keep = _essential_pairs(space)
     weight_gap = [mu.weight(p) - nu.weight(p) for p in pts]
     c = [weight_gap[i] for i in range(1, n)]
     rows: list[list[Num]] = []
     rhs: list[Num] = []
     # bound rows: g_i <= 2 d(0, i)
     for i in range(1, n):
-        if not keep[0][i]:
+        if not keep[i][0]:
             continue
         row = [zero] * (n - 1)
         row[i - 1] = mode.one
@@ -211,7 +272,7 @@ def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPo
             row[i - 1] = mode.one
             row[j - 1] = -mode.one
             rows.append(row)
-            rhs.append(d[i][j] + d[0][i] - d[0][j])
+            rhs.append(max(d[i][j] + d[0][i] - d[0][j], zero))
     lp_value, g = solve_inequality_lp(c, rows, rhs, mode)
     shift = sum((c[i - 1] * d[0][i] for i in range(1, n)), zero)
     value = lp_value - shift

@@ -173,6 +173,52 @@ class TestDist:
             proc.stderr,
         )
 
+    @pytest.mark.parametrize(
+        "points, dist, ends, expected",
+        [
+            # d(a, c) exceeds d(a, b) + d(b, c) by 5e-4: the Lipschitz
+            # right-hand side d(b, c) + d(a, b) - d(a, c) is negative
+            ("abc", [["0", "1", "2.0005"], ["1", "0", "1"], ["2.0005", "1", "0"]],
+             "ac", "2.0005"),
+            # asymmetric by 9e-4: the rows read d(k, i) and d(k, j), by which
+            # k does not split (i, j), while d(i, k) + d(k, j) = d(i, j)
+            ("kij", [["0", "1.0009", "1.0009"], ["1", "0", "2"], ["1", "2", "0"]],
+             "ij", "2"),
+            # k1 splits (i, j) and k2 splits (k1, j), but rows (i, k1) and
+            # (k2, j) have right-hand sides -9e-4 raised to 0
+            ("o i k1 k2 j".split(),
+             [["0", "5", "6.0009", "7", "8.0009"], ["5", "0", "1", "2", "3"],
+              ["6.0009", "1", "0", "1", "2"], ["7", "2", "1", "0", "1"],
+              ["8.0009", "3", "2", "1", "0"]],
+             ["i", "j"], "3"),
+        ],
+        ids=["triangle", "asymmetric", "raised-chain"],
+    )
+    def test_float_space_violated_within_tolerance(
+        self, tmp_path, capsys, points, dist, ends, expected
+    ):
+        # zfun validate accepts each space at tolerance 1e-3, so zfun dist
+        # must solve it both ways, to within the tolerance, with a potential
+        # that is 1-Lipschitz over all pairs
+        (tmp_path / "s.json").write_text(json.dumps({"points": list(points), "dist": dist}))
+        for p in ends:
+            (tmp_path / f"{p}.json").write_text(
+                json.dumps({"space": "s.json", "weights": {p: "1"}})
+            )
+        flags = ["--mode", "float", "--tolerance", "1e-3"]
+        assert cli.main(["validate", str(tmp_path / "s.json"), *flags]) == 0
+        capsys.readouterr()
+        for mu, nu in (ends, ends[::-1]):
+            code = cli.main(
+                ["dist", str(tmp_path / f"{mu}.json"), str(tmp_path / f"{nu}.json"), *flags]
+            )
+            out, err = capsys.readouterr()
+            assert code == 0, err
+            payload = json.loads(out)
+            assert abs(float(payload["value"]) - float(expected)) <= 1e-3
+            assert abs(float(payload["gap"])) <= 1e-3
+            assert payload["pass"] is True
+
     @pytest.mark.parametrize("kind", ["plan", "potential"])
     def test_single_certificate(self, workdir, kind):
         proc = run_cli(

@@ -8,7 +8,7 @@ package are cross-examined by code sharing nothing with either.
 import hashlib
 import importlib
 from fractions import Fraction
-from math import lcm
+from math import lcm, ulp
 
 import pytest
 
@@ -16,6 +16,7 @@ from zfun import (
     EXACT,
     InvalidWeights,
     SpaceMismatch,
+    diameter,
     dirac,
     duality_gap,
     float_mode,
@@ -40,7 +41,7 @@ from zfun.generate import (
     random_space,
     rng_for,
 )
-from zfun.kantorovich import _transport_simplex
+from zfun.kantorovich import _essential_pairs, _transport_simplex
 from zfun.simplexlp import solve_inequality_lp
 
 from helpers import (
@@ -212,12 +213,13 @@ class TestDualVertexPin:
     The LP's optimal face can hold several vertices, and a passing check
     record serializes no potential, so only this pin sees the dual simplex
     move to another vertex.  The batch mixes sparse, full-support and
-    identical measures.
+    identical measures.  Both digests pin the program pruned to its
+    essential pairs, in float mode under the ulp guard.
     """
 
     DIGESTS = {
         "exact": "95b432479e00599f7b76628dd432996958d6ff2e10e1b39d875535404b627ef4",
-        "float": "3decbe43e531bd81ddb76e06d3d4111945bc1b4749ce2ff06a6bd8e098db3e18",
+        "float": "d9a921bdbadef037d862fc9ce649659ebbf6f1f8302db2015038ebeed8c9c63e",
     }
 
     @pytest.mark.parametrize("kind", ["exact", "float"])
@@ -321,11 +323,13 @@ class TestIntegerTransportMatchesFractions:
 def full_row_dual(mu, nu):
     """The dual LP with every bound and Lipschitz row, none pruned.
 
-    This is the exact dual route before essential-pair pruning, the reference
-    whose optimum the pruned program must reproduce.  Returns the value and
-    the potential as a tuple in point order.
+    This is the dual route before essential-pair pruning, in the mode of the
+    measures' space, the reference whose optimum the pruned program must
+    reproduce.  Returns the value and the potential as a tuple in point
+    order.
     """
     space = mu.space
+    mode = space.mode
     d, n = space.dist, len(space.points)
     c = [mu.weight(p) - nu.weight(p) for p in space.points[1:]]
     rows, rhs = [], []
@@ -340,37 +344,49 @@ def full_row_dual(mu, nu):
                 row = [0] * (n - 1)
                 row[i - 1], row[j - 1] = 1, -1
                 rows.append(row)
-                rhs.append(d[i][j] + d[0][i] - d[0][j])
-    lp_value, g = solve_inequality_lp(c, rows, rhs, EXACT)
+                rhs.append(max(d[i][j] + d[0][i] - d[0][j], mode.zero))
+    lp_value, g = solve_inequality_lp(c, rows, rhs, mode)
     shift = sum(c[i - 1] * d[0][i] for i in range(1, n))
-    return lp_value - shift, (Fraction(0), *(g[i - 1] - d[0][i] for i in range(1, n)))
+    return lp_value - shift, (mode.zero, *(g[i - 1] - d[0][i] for i in range(1, n)))
+
+
+def measure_pair(rng, space, t):
+    """Full-support, sparse or Dirac measures as ``t % 3`` is 0, 1 or 2 (two
+    Diracs may sit on one point)."""
+    if t % 3 == 2:
+        return dirac(space, rng.choice(space.points)), dirac(
+            space, rng.choice(space.points)
+        )
+    full = t % 3 == 0
+    return random_measure(rng, space, full_support=full), random_measure(
+        rng, space, full_support=full
+    )
 
 
 def dual_programs(rng):
     """540 exact measure pairs: 528 on 2-12 points, then one on each of 13-24.
 
-    The pairs cycle through full-support, sparse and Dirac measures (two
-    Diracs may sit on one point).  Large sizes are few because the full-row
-    reference grows as n^2 rows.
+    The pairs cycle through full-support, sparse and Dirac measures.  Large
+    sizes are few because the full-row reference grows as n^2 rows.
     """
     sizes = [2 + t % 11 for t in range(528)] + list(range(13, 25))
     for t, n in enumerate(sizes):
-        space = random_space(rng, n)
-        if t % 3 == 2:
-            yield dirac(space, rng.choice(space.points)), dirac(
-                space, rng.choice(space.points)
-            )
-        else:
-            full = t % 3 == 0
-            yield random_measure(rng, space, full_support=full), random_measure(
-                rng, space, full_support=full
-            )
+        yield measure_pair(rng, random_space(rng, n), t)
 
 
-def path_space(mode):
-    """Six points on a line with uneven gaps: only neighbours are essential."""
+def path_space(mode, stretch=0):
+    """Six points on a line with uneven gaps: only neighbours are essential.
+
+    ``stretch * (|i - j| - 1)**2`` is added to d(p_i, p_j).  That amount is
+    strictly superadditive in ``|i - j|``, so a positive ``stretch`` makes
+    every split of a pair of non-neighbours miss it by ``stretch`` or more.
+    """
     at = [Fraction(v) for v in (0, 1, "5/2", 3, "17/4", 7)]
-    dist = [[mode.convert(abs(a - b)) for b in at] for a in at]
+    dist = [
+        [mode.convert(abs(a - b) + stretch * max(abs(i - j) - 1, 0) ** 2)
+         for j, b in enumerate(at)]
+        for i, a in enumerate(at)
+    ]
     return validate_space([f"p{i}" for i in range(len(at))], dist, mode)
 
 
@@ -386,12 +402,20 @@ class TestPrunedDualMatchesFullRows:
         assert count == 540
 
     @pytest.mark.parametrize(
-        "mode, expected", [(EXACT, 1 + 2 * 4), (float_mode(), 5 * 5)],
-        ids=["exact", "float"],
+        "mode, stretch, expected",
+        [
+            (EXACT, 0, 1 + 2 * 4),
+            (float_mode(), 0, 1 + 2 * 4),
+            (float_mode(1e-3), Fraction(1, 20000), 5 * 5),
+        ],
+        ids=["exact", "float", "float-within-tolerance"],
     )
-    def test_kept_rows_on_a_path_metric(self, monkeypatch, mode, expected):
-        # exact: the bound row of (p0, p1) and both directions of the four
-        # neighbour pairs among p1..p5; float: all 5 bound and 20 Lipschitz rows
+    def test_kept_rows_on_a_path_metric(self, monkeypatch, mode, stretch, expected):
+        # exact and float: the bound row of (p0, p1) and both directions of
+        # the four neighbour pairs among p1..p5.  Stretched, every triangle
+        # through a middle point is violated by 5e-5 to 5.5e-4, within the
+        # tolerance 1e-3, and splits nothing: all 5 bound and 20 Lipschitz
+        # rows stay.
         module = importlib.import_module("zfun.kantorovich")
         shapes = []
 
@@ -400,13 +424,150 @@ class TestPrunedDualMatchesFullRows:
             return solve_inequality_lp(c, rows, b, mode)
 
         monkeypatch.setattr(module, "solve_inequality_lp", recording)
-        space = path_space(mode)
+        space = path_space(mode, stretch)
         mu = prob_measure(space, {"p0": "1/2", "p3": "1/2"})
         nu = prob_measure(space, {"p2": "1/3", "p5": "2/3"})
         value, potential = kantorovich_dual(mu, nu)
         assert shapes == [expected]
         assert abs(value - kantorovich_primal(mu, nu)[0]) <= mode.tolerance
         assert_potential_feasible(space, potential.as_dict(), mode.tolerance)
+
+
+def as_float(mu, mode):
+    """``mu`` moved to the float copy of its space, weights rounded once."""
+    space = validate_space(mu.space.points, mu.space.dist, mode)
+    return prob_measure(space, dict(mu.weights))
+
+
+def nudged_space(rng, n, mode):
+    """A float space whose distances each moved by up to 3e-4 off a
+    ``random_space``, so many of its tight triangles are violated within the
+    tolerance 1e-3 (three moves of 3e-4 stay below it)."""
+    space = random_space(rng, n)
+    dist = [list(row) for row in space.dist]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = dist[i][j] + Fraction(rng.randint(-3, 3), 10_000)
+    return validate_space(space.points, dist, mode)
+
+
+def raised_space(rng, n, mode, t):
+    """A metric with entries raised by 9e-4, each with probability 1/2.
+
+    Raising entries by at most 9e-4 violates triangles and symmetry by at
+    most that, so the tolerance 1e-3 accepts the space.  For ``t % 4 == 0``
+    the metric is a ``random_space``, else points at distinct integers on a
+    line, where every triple is tight.  For even ``t`` every ordered entry
+    rises on its own, so rows (i, j) and (j, i) split differently; for odd
+    ``t`` only d(0, i) and d(i, 0) rise, together, which pushes the
+    right-hand sides of rows that still split below zero.
+    """
+    if t % 4 == 0:
+        space = random_space(rng, n)
+        points, dist = space.points, [list(row) for row in space.dist]
+    else:
+        xs = rng.sample(range(30), n)
+        points = [f"x{i}" for i in range(n)]
+        dist = [[Fraction(abs(a - b)) for b in xs] for a in xs]
+    lift = Fraction(9, 10_000)
+    for i in range(n):
+        for j in range(n):
+            if i == j or rng.random() < 0.5:
+                continue
+            if t % 2 == 0:
+                dist[i][j] += lift
+            elif i == 0:
+                dist[0][j] += lift
+                dist[j][0] += lift
+    return validate_space(points, dist, mode)
+
+
+def clamps_a_row(space):
+    """Whether some Lipschitz right-hand side d(i,j) + d(0,i) - d(0,j) < 0."""
+    d, n = space.dist, len(space.points)
+    return any(
+        d[i][j] + d[0][i] < d[0][j] for i in range(1, n) for j in range(1, n)
+    )
+
+
+class TestFloatDualOracle:
+    """The float dual pruned under the ulp guard, against two references.
+
+    On rational spaces the exact dual gives the true value; on spaces whose
+    triangles hold only within the tolerance the full-row float program does.
+    """
+
+    def test_valid_spaces_match_the_exact_value(self):
+        mode = float_mode()
+        rng = rng_for(73, "float-oracle")
+        for t in range(600):
+            space = random_space(rng, 2 + t % 11)  # sizes 2-12
+            mu, nu = measure_pair(rng, space, t)
+            fmu, fnu = as_float(mu, mode), as_float(nu, mode)
+            value, potential = kantorovich_dual(fmu, fnu)
+            ulps = 8 * ulp(float(diameter(space)))
+            assert abs(value - float(kantorovich(mu, nu))) <= ulps
+            assert_potential_feasible(fmu.space, potential.as_dict(), ulps)
+            # the guard keeps the pairs that the exact integer test keeps
+            assert _essential_pairs(fmu.space) == _essential_pairs(space)
+
+    def test_spaces_within_tolerance_match_the_full_row_program(self):
+        mode = float_mode(1e-3)
+        rng = rng_for(79, "float-oracle-within-tolerance")
+        violated = unclamped = 0
+        for t in range(480):
+            space = nudged_space(rng, 3 + t % 6, mode)  # sizes 3-8
+            d, n = space.dist, len(space.points)
+            violated += any(
+                d[i][j] > d[i][k] + d[k][j]
+                for i in range(n) for j in range(n) for k in range(n)
+            )
+            mu, nu = measure_pair(rng, space, t)
+            value, potential = kantorovich_dual(mu, nu)
+            reference, _ = full_row_dual(mu, nu)
+            assert abs(value - reference) <= mode.tolerance
+            assert_potential_feasible(space, potential.as_dict(), mode.tolerance)
+            if not clamps_a_row(space):
+                # a raised right-hand side loosens a kept row, and a chain of
+                # kept rows with it; with none raised, every dropped row is
+                # implied to within a few ulps
+                unclamped += 1
+                assert abs(value - reference) <= 8 * ulp(diameter(space))
+        assert violated >= 300 and unclamped >= 150
+
+    def test_raised_spaces_match_the_full_row_program(self):
+        mode = float_mode(1e-3)
+        rng = rng_for(83, "float-oracle-raised")
+        for t in range(480):
+            space = raised_space(rng, 3 + t % 6, mode, t)  # sizes 3-8
+            mu, nu = measure_pair(rng, space, t)
+            value, potential = kantorovich_dual(mu, nu)
+            assert abs(value - full_row_dual(mu, nu)[0]) <= mode.tolerance
+            assert_potential_feasible(space, potential.as_dict(), mode.tolerance)
+
+    def test_coarse_distances_keep_every_row(self):
+        # distances up to 8e6, whose ulps (up to 1.9e-9) exceed the tolerance
+        # 1e-9: pruning would let a chain of kept rows exceed a dropped one
+        # by more than the tolerance, so every row stays and the program is
+        # the full-row one.  With rows pruned, this potential was not
+        # 1-Lipschitz at (x3, x4).
+        dist = [
+            ["0", "2125000", "2000000", "128125000/21", "1000000/7", "83500000/21"],
+            ["2125000", "0", "7000000/3", "8000000", "15875000/7", "128125000/21"],
+            ["2000000", "7000000/3", "0", "170125000/21", "15000000/7", "125500000/21"],
+            ["128125000/21", "8000000", "170125000/21", "0", "17875000/3", "2125000"],
+            ["1000000/7", "15875000/7", "15000000/7", "17875000/3", "0", "11500000/3"],
+            ["83500000/21", "128125000/21", "125500000/21", "2125000", "11500000/3", "0"],
+        ]
+        mode = float_mode(1e-9)
+        space = validate_space([f"x{i}" for i in range(6)], dist, mode)
+        mu = prob_measure(space, {f"x{i}": Fraction(w, 31) for i, w in enumerate((5, 8, 1, 9, 6, 2))})
+        nu = prob_measure(space, {f"x{i}": Fraction(w, 37) for i, w in enumerate((3, 7, 6, 7, 8, 6))})
+        assert _essential_pairs(space) == [[i != j for j in range(6)] for i in range(6)]
+        value, potential = kantorovich_dual(mu, nu)
+        reference, values = full_row_dual(mu, nu)
+        assert value == reference
+        assert potential.as_dict() == dict(zip(space.points, values))
 
 
 class TestMetricAxioms:
