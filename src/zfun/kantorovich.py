@@ -8,7 +8,9 @@ Two genuinely independent routes compute the same number:
   :mod:`zfun.simplexlp`;
 * :func:`kantorovich_primal` — the least transport cost, solved by a
   transportation simplex on the support of the two measures (northwest-corner
-  start, tree potentials, deterministic Bland-style pivoting).
+  start, deterministic Bland-style pivoting, and potentials on a basis tree
+  kept across pivots: each pivot re-hangs one subtree and recomputes only
+  its potentials).
 
 In exact mode both are exact optima of dual linear programs, so
 :func:`duality_gap` is exactly zero.  Both run on Python ``int``s there: the
@@ -307,31 +309,28 @@ def _northwest_corner(supply, demand, eps):
             c += 1
 
 
-def _basis_tree(flow, costs, m, n, zero):
-    """Potentials and parent links of the basis tree, walked from row 0.
+def _hang(node, adj, costs, m, pot, parent, depth):
+    """Set parent, depth and potential of every node below ``node``.
 
     Nodes ``0..m-1`` are the rows and ``m..m+n-1`` the columns, so a cell
-    ``(r, c)`` joins nodes ``r`` and ``m + c``.  The root's parent is -1.
+    ``(r, c)`` joins nodes ``r`` and ``m + c``.  ``node`` has its own three
+    set already; the walk goes down ``adj`` away from ``parent[node]``, and
+    each potential is the cell's cost minus its parent's potential.  Returns
+    the number of nodes reached, ``node`` included.
     """
-    adj: list[list[int]] = [[] for _ in range(m + n)]
-    for r, c in flow:
-        adj[r].append(m + c)
-        adj[m + c].append(r)
-    pot: list[Num | None] = [None] * (m + n)
-    parent = [-1] * (m + n)
-    pot[0] = zero
-    stack = [0]
+    stack = [node]
+    reached = 0
     while stack:
         i = stack.pop()
+        reached += 1
+        up, below, pi = parent[i], depth[i] + 1, pot[i]
         for j in adj[i]:
-            if pot[j] is None:
-                cost = costs[i][j - m] if i < m else costs[j][i - m]
-                pot[j] = cost - pot[i]
+            if j != up:
                 parent[j] = i
+                depth[j] = below
+                pot[j] = (costs[i][j - m] if i < m else costs[j][i - m]) - pi
                 stack.append(j)
-    if any(x is None for x in pot):
-        raise SolverFailure("transport basis is not a spanning tree")
-    return pot, parent
+    return reached
 
 
 def _transport_simplex(costs, supply, demand, eps, zero):
@@ -340,34 +339,62 @@ def _transport_simplex(costs, supply, demand, eps, zero):
     ``eps`` is the zero threshold of the reduced costs and the northwest
     walk, ``zero`` the additive identity of the numbers given.  The keys of
     the flow dict are the basis cells.
+
+    The basis tree, rooted at row 0, is built once from the northwest
+    corner and then kept across pivots (Ahuja, Magnanti & Orlin, *Network
+    Flows*, 1993, ch. 11).  The entering cell closes the cycle of its two
+    ends' paths up to their lowest common ancestor.  The leaving cell cuts
+    off the subtree below its lower end; that subtree is re-hung from the
+    end of the entering cell inside it, and only its parents, depths and
+    potentials are recomputed.  Every potential is still the cost minus
+    the parent's potential along the one path from row 0, so float
+    potentials, and with them every pivot, are those of a walk of the whole
+    tree before each pivot.
     """
     m, n = len(supply), len(demand)
     flow = _northwest_corner(supply, demand, eps)
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for r, c in flow:
+        adj[r].append(m + c)
+        adj[m + c].append(r)
+    pot: list[Num] = [zero] * (m + n)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    # the northwest cells form a staircase path, so the walk ends; it
+    # reaches every node only when they span
+    if _hang(0, adj, costs, m, pot, parent, depth) != m + n:
+        raise SolverFailure("transport basis is not a spanning tree")
     for _ in range(MAX_PIVOTS):
-        pot, parent = _basis_tree(flow, costs, m, n, zero)
+        col_pot = pot[m:]
         entering = next(
             (
                 (r, c)
                 for r in range(m)
-                for c in range(n)
-                if (r, c) not in flow and costs[r][c] - pot[r] - pot[m + c] < -eps
+                for c, pc in enumerate(col_pot)
+                if costs[r][c] - pot[r] - pc < -eps and (r, c) not in flow
             ),
             None,
         )
         if entering is None:
             return flow
-        # the cycle that entering closes: up from its column to the lowest
-        # common ancestor with its row, then down to the row
+        # the cycle that entering closes: up from both of its ends, the
+        # deeper one first, to their lowest common ancestor
         r0, c0 = entering
-        up_row = [r0]
-        while parent[up_row[-1]] >= 0:
-            up_row.append(parent[up_row[-1]])
-        up_col = [m + c0]
-        while up_col[-1] not in up_row:
-            up_col.append(parent[up_col[-1]])
-        nodes = up_col + up_row[: up_row.index(up_col[-1])][::-1]
+        from_col: list[int] = []
+        from_row: list[int] = []
+        u, v = m + c0, r0
+        while u != v:
+            if depth[u] >= depth[v]:
+                from_col.append(u)
+                u = parent[u]
+            else:
+                from_row.append(v)
+                v = parent[v]
+        # each node stands for the cell to its parent; the cycle runs from
+        # the column end to the row end
         cycle = [entering] + [
-            (a, b - m) if a < m else (b, a - m) for a, b in zip(nodes, nodes[1:])
+            (x, parent[x] - m) if x < m else (parent[x], x - m)
+            for x in from_col + from_row[::-1]
         ]
         minus = cycle[1::2]
         theta = min(flow[cell] for cell in minus)
@@ -379,6 +406,24 @@ def _transport_simplex(costs, supply, demand, eps, zero):
             else:
                 flow[cell] = flow[cell] - theta
         del flow[leaving]
+        # cut below the leaving cell and re-hang that subtree from the end
+        # of the entering cell inside it
+        rl, cl = leaving
+        child = rl if parent[rl] == m + cl else m + cl
+        if child in from_col:
+            inner, outer = m + c0, r0
+        elif child in from_row:
+            inner, outer = r0, m + c0
+        else:
+            raise SolverFailure("transport basis is not a spanning tree")
+        adj[rl].remove(m + cl)
+        adj[m + cl].remove(rl)
+        adj[r0].append(m + c0)
+        adj[m + c0].append(r0)
+        parent[inner] = outer
+        depth[inner] = depth[outer] + 1
+        pot[inner] = costs[r0][c0] - pot[outer]
+        _hang(inner, adj, costs, m, pot, parent, depth)
     raise SolverFailure("pivot budget exhausted")
 
 

@@ -18,6 +18,7 @@ from zfun import (
     prob_measure,
     validate_space,
 )
+from zfun.kantorovich import _northwest_corner
 
 
 # ---------------------------------------------------------------------------
@@ -327,4 +328,86 @@ def reference_inequality_lp(c, rows, b, max_pivots=100_000):
             if i != leave and factor != 0:
                 tab[i] = [v - factor * p for v, p in zip(tab[i], tab[leave])]
         basis[leave] = enter
+    raise AssertionError("pivot budget exhausted")
+
+
+# ---------------------------------------------------------------------------
+# reference transport simplex that rebuilds its basis tree every pivot
+
+
+def _reference_basis_tree(flow, costs, m, n, zero):
+    """Potentials and parent links of the basis tree, walked from row 0.
+
+    Nodes ``0..m-1`` are the rows and ``m..m+n-1`` the columns, so a cell
+    ``(r, c)`` joins nodes ``r`` and ``m + c``.  The root's parent is -1.
+    """
+    adj = [[] for _ in range(m + n)]
+    for r, c in flow:
+        adj[r].append(m + c)
+        adj[m + c].append(r)
+    pot = [None] * (m + n)
+    parent = [-1] * (m + n)
+    pot[0] = zero
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in adj[i]:
+            if pot[j] is None:
+                cost = costs[i][j - m] if i < m else costs[j][i - m]
+                pot[j] = cost - pot[i]
+                parent[j] = i
+                stack.append(j)
+    assert all(x is not None for x in pot), "basis is not a spanning tree"
+    return pot, parent
+
+
+def reference_transport_simplex(costs, supply, demand, eps, zero, max_pivots=100_000):
+    """The transport simplex that walks the whole basis tree before each pivot.
+
+    The same Bland entering scan, θ, leaving tie-break and flow-dict order
+    as :func:`zfun.kantorovich._transport_simplex`, which keeps its tree
+    across pivots instead; the plans must agree cell for cell and in dict
+    order.  Only the northwest start is the library's own.  Returns ``(flow, degenerate)``, where ``degenerate``
+    counts the pivots with θ = 0.
+    """
+    m, n = len(supply), len(demand)
+    flow = _northwest_corner(supply, demand, eps)
+    degenerate = 0
+    for _ in range(max_pivots):
+        pot, parent = _reference_basis_tree(flow, costs, m, n, zero)
+        entering = next(
+            (
+                (r, c)
+                for r in range(m)
+                for c in range(n)
+                if (r, c) not in flow and costs[r][c] - pot[r] - pot[m + c] < -eps
+            ),
+            None,
+        )
+        if entering is None:
+            return flow, degenerate
+        # the cycle that entering closes: up from its column to the lowest
+        # common ancestor with its row, then down to the row
+        r0, c0 = entering
+        up_row = [r0]
+        while parent[up_row[-1]] >= 0:
+            up_row.append(parent[up_row[-1]])
+        up_col = [m + c0]
+        while up_col[-1] not in up_row:
+            up_col.append(parent[up_col[-1]])
+        nodes = up_col + up_row[: up_row.index(up_col[-1])][::-1]
+        cycle = [entering] + [
+            (a, b - m) if a < m else (b, a - m) for a, b in zip(nodes, nodes[1:])
+        ]
+        minus = cycle[1::2]
+        theta = min(flow[cell] for cell in minus)
+        degenerate += theta == 0
+        leaving = min(cell for cell in minus if flow[cell] == theta)
+        flow[entering] = zero
+        for i, cell in enumerate(cycle):
+            if i % 2 == 0:
+                flow[cell] = flow[cell] + theta
+            else:
+                flow[cell] = flow[cell] - theta
+        del flow[leaving]
     raise AssertionError("pivot budget exhausted")

@@ -42,6 +42,7 @@ from zfun.generate import (
     rng_for,
 )
 from zfun.kantorovich import _essential_pairs, _transport_simplex
+from zfun.numbers import scaled
 from zfun.simplexlp import solve_inequality_lp
 
 from helpers import (
@@ -50,6 +51,7 @@ from helpers import (
     brute_min_transport_cost,
     grid_measures,
     plan_cost,
+    reference_transport_simplex,
     space_ab,
     space_abc,
 )
@@ -318,6 +320,91 @@ class TestIntegerTransportMatchesFractions:
             )
         assert max_dist_den >= 60
         assert max_weight_lcm % (7 * 11 * 13) == 0
+
+
+def transport_data(mu, nu, scale):
+    """The transport simplex's costs, supply and demand on the supports.
+
+    With ``scale`` the costs and the weights are each scaled to ``int``s as
+    :func:`kantorovich_primal` scales them in exact mode.
+    """
+    space = mu.space
+    src = [space.index(p) for p, _ in mu.weights]
+    snk = [space.index(q) for q, _ in nu.weights]
+    costs = [[space.dist[i][j] for j in snk] for i in src]
+    supply = [w for _, w in mu.weights]
+    demand = [w for _, w in nu.weights]
+    if scale:
+        flat, _ = scaled([v for row in costs for v in row])
+        costs = [flat[r * len(snk):(r + 1) * len(snk)] for r in range(len(src))]
+        weights, _ = scaled(supply + demand)
+        supply, demand = weights[: len(src)], weights[len(src):]
+    return costs, supply, demand
+
+
+def float_transport_pairs(rng):
+    """120 float pairs on 2-32 points, cycling through full-support, sparse
+    and identical measures, a Dirac pair, and a Dirac against a full-support
+    measure either way (one-point supports, m = 1 or n = 1).
+
+    Every other block of six has its distances times 1000/3.  Their ulps,
+    about 2e-12, exceed the pivot threshold, so a pivot sees how each
+    potential was rounded, not only its exact value: potentials taken
+    along other paths than those from row 0 change the plans there.
+    """
+    mode = float_mode()
+    for t in range(120):
+        exact_space = random_space(rng, 2 + t % 31)
+        scale = Fraction(1000, 3) if t // 6 % 2 else 1
+        dist = [[mode.convert(v * scale) for v in row] for row in exact_space.dist]
+        space = validate_space(exact_space.points, dist, mode)
+        kind = t % 6
+        if kind == 3:
+            yield dirac(space, rng.choice(space.points)), dirac(
+                space, rng.choice(space.points)
+            )
+        elif kind >= 4:
+            point = dirac(space, rng.choice(space.points))
+            full = random_measure(rng, space, full_support=True)
+            yield (point, full) if kind == 4 else (full, point)
+        else:
+            mu = random_measure(rng, space, full_support=kind == 0)
+            yield mu, mu if kind == 2 else random_measure(rng, space, full_support=kind == 0)
+
+
+class TestTransportTreeMatchesRebuild:
+    """The kept basis tree pivots exactly as a tree rebuilt every pivot.
+
+    The reference walks the whole tree before each pivot; the plans must be
+    the same cells with the same flows, inserted in the same order.  The
+    batches include degenerate pivots (θ = 0), whose leaving cell carries no
+    flow but still re-hangs a subtree.
+    """
+
+    @staticmethod
+    def assert_same_flow(mu, nu, scale, eps, zero):
+        data = transport_data(mu, nu, scale)
+        kept = _transport_simplex(*data, eps, zero)
+        rebuilt, degenerate = reference_transport_simplex(*data, eps, zero)
+        assert list(kept.items()) == list(rebuilt.items())
+        return degenerate
+
+    def test_lattice_pairs_on_ints_and_fractions(self):
+        degenerate = 0
+        for mu, nu in lattice_pairs(rng_for(67, "integer-transport")):
+            degenerate += self.assert_same_flow(mu, nu, True, 0, 0)
+            degenerate += self.assert_same_flow(mu, nu, False, 0, Fraction(0))
+        assert degenerate > 0
+
+    def test_float_pairs_up_to_32_points(self):
+        mode = float_mode()
+        degenerate = 0
+        shapes = set()
+        for mu, nu in float_transport_pairs(rng_for(71, "transport-tree")):
+            degenerate += self.assert_same_flow(mu, nu, False, mode.pivot_eps, mode.zero)
+            shapes.add((len(mu.weights) == 1, len(nu.weights) == 1))
+        assert degenerate > 0
+        assert shapes == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def full_row_dual(mu, nu):
