@@ -14,10 +14,11 @@ Two genuinely independent routes compute the same number:
 
 In exact mode both are exact optima of dual linear programs, so
 :func:`duality_gap` is exactly zero.  Both run on Python ``int``s there: the
-LP kernel scales its tableau, and the transportation simplex runs on the
-costs and the weights each scaled by one positive common multiple.  The
-transportation matrix is totally unimodular, so integer supplies, demands
-and costs keep every flow and potential an integer without any division.
+LP kernel scales its right-hand side and objective, and the transportation
+simplex runs on the costs and the weights, each scaled by one positive
+common multiple.  The transportation matrix is totally unimodular, so
+integer supplies, demands and costs keep every flow and potential an
+integer without any division.
 The two routes share no solver code, only that lattice helper,
 :func:`numbers.scaled`.
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ulp
 from operator import add
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     InfeasibleMass,
@@ -255,26 +256,19 @@ def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPo
     keep = _essential_pairs(space)
     weight_gap = [mu.weight(p) - nu.weight(p) for p in pts]
     c = [weight_gap[i] for i in range(1, n)]
-    rows: list[list[Num]] = []
+    rows: list[tuple[int, Optional[int]]] = []
     rhs: list[Num] = []
     # bound rows: g_i <= 2 d(0, i)
     for i in range(1, n):
-        if not keep[i][0]:
-            continue
-        row = [zero] * (n - 1)
-        row[i - 1] = mode.one
-        rows.append(row)
-        rhs.append(2 * d[0][i])
+        if keep[i][0]:
+            rows.append((i - 1, None))
+            rhs.append(2 * d[0][i])
     # Lipschitz rows: g_i - g_j <= d(i, j) + d(0, i) - d(0, j)
     for i in range(1, n):
         for j in range(1, n):
-            if i == j or not keep[i][j]:
-                continue
-            row = [zero] * (n - 1)
-            row[i - 1] = mode.one
-            row[j - 1] = -mode.one
-            rows.append(row)
-            rhs.append(max(d[i][j] + d[0][i] - d[0][j], zero))
+            if i != j and keep[i][j]:
+                rows.append((i - 1, j - 1))
+                rhs.append(max(d[i][j] + d[0][i] - d[0][j], zero))
     lp_value, g = solve_inequality_lp(c, rows, rhs, mode)
     shift = sum((c[i - 1] * d[0][i] for i in range(1, n)), zero)
     value = lp_value - shift

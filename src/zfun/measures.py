@@ -37,7 +37,7 @@ class ProbMeasure:
     def weight(self, label: str) -> Num:
         if label not in self.space:
             raise UnknownPoint(f"{label!r} is not a point of the space")
-        return self._table.get(label, 0)
+        return self._table.get(label, self.space.mode.zero)
 
     def support(self) -> tuple[str, ...]:
         return tuple(p for p, _ in self.weights)

@@ -1,30 +1,28 @@
-"""Primal simplex for inequality-form linear programs.
+"""Primal simplex for network linear programs in inequality form.
 
 Solves   max c.x   subject to   A x <= b,  x >= 0,   with b >= 0 entrywise,
-so the all-slack basis is feasible and no phase-one is needed.  Pivoting uses
-Bland's rule (smallest eligible column; ratio ties broken by smallest basic
-variable), which is deterministic and provably cycle-free.
+so the all-slack basis is feasible and no phase-one is needed.  Each row of
+``A`` is an index pair: ``(i, j)`` for ``x_i - x_j`` and ``(i, None)`` for
+``x_i``, the rows of the Kantorovich dual.  Pivoting uses Bland's rule
+(smallest eligible column; ratio ties broken by smallest basic variable),
+which is deterministic and provably cycle-free.
 
-One pivot loop serves both modes (Edmonds 1967; Bareiss 1968).  A pivot ``p``
-turns every other entry ``v`` into ``(v*p - f*q) div D``, a division by the
-previous pivot ``D``, so the tableau is ``D`` times the rational one.  Exact
-mode first scales the rows of ``A``, the right-hand side column and ``c`` to
-integers; ``div`` is then an exact ``//`` and the thresholds are ``0``.
-Positive scalings keep Bland's pivots and vertex.  Float mode runs on the
-floats as given, with ``/`` and the threshold ``Mode.pivot_eps``.
-
-When ``p == D == 1`` the update is plain ``v - f*q``.  On a network matrix
-such as the Kantorovich dual's ``[I; e_i - e_j]`` every pivot is 1, so this is
-the dual's only update: it saves a product and a division per entry (the
-Bareiss form alone made float pivots 1.4× slower at n = 14–20), and in float
-mode it repeats the divide-by-the-pivot tableau's operations bit for bit.
+Such an ``A`` is the transpose of a node-arc incidence matrix with the root
+row dropped, so ``[A I]`` is totally unimodular: every basis inverse, and
+with it every tableau entry outside the objective row and the right-hand
+side, stays 0 or ±1 (Schrijver, *Theory of Linear and Integer Programming*,
+1986, ch. 19).  Every pivot is therefore 1, the ratio of an eligible row is
+its right-hand side, and a pivot only adds or subtracts the pivot row.  Exact
+mode scales the right-hand side and the objective to integers, each by one
+positive common multiple, and pivots on Python ``int``s with threshold ``0``;
+float mode pivots on the floats as given with ``Mode.pivot_eps``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import floordiv, truediv
-from typing import Sequence
+from operator import truediv
+from typing import Optional, Sequence
 
 from .errors import BadParameters, SolverFailure
 from .numbers import EXACT, Mode, Num, scaled
@@ -34,62 +32,55 @@ MAX_PIVOTS = 100_000
 
 def solve_inequality_lp(
     c: Sequence[Num],
-    rows: Sequence[Sequence[Num]],
+    rows: Sequence[tuple[int, Optional[int]]],
     b: Sequence[Num],
     mode: Mode = EXACT,
 ) -> tuple[Num, list[Num]]:
     """Optimal value and one optimal vertex of ``max c.x : Ax <= b, x >= 0``.
 
-    Requires ``b >= 0``.  Raises :class:`SolverFailure` if the program is
-    unbounded or the pivot budget is exhausted (neither can occur for the
-    bounded programs built by this package).
+    ``c`` and ``b`` hold numbers of ``mode``, and ``rows`` the index pairs
+    of ``A``.  Requires ``b >= 0``.  Raises :class:`SolverFailure` if the
+    program is unbounded or the pivot budget is exhausted (neither can occur
+    for the bounded programs built by this package).
     """
     n, m = len(c), len(rows)
     eps = mode.pivot_eps
-    b = [mode.convert(v) for v in b]
     if any(bi < -eps for bi in b):
         raise BadParameters("right-hand side must be nonnegative")
-    if any(len(row) != n for row in rows):
-        raise BadParameters("constraint rows must match the objective length")
-    rows = [[mode.convert(v) for v in row] for row in rows]
-    cost = [-mode.convert(v) for v in c]
+    cost = [-v for v in c]
     if mode.is_exact:
-        scaled_rows = [scaled(row) for row in rows]
-        rows = [row for row, _ in scaled_rows]
-        b, scale_b = scaled([s * v for (_, s), v in zip(scaled_rows, b)])
+        b, scale_b = scaled(b)
         cost, scale_c = scaled(cost)
-        zero, one, eps, div, unscale = 0, 1, 0, floordiv, Fraction
+        zero, eps, unscale = 0, 0, Fraction
     else:
-        zero, one, scale_b, scale_c, div, unscale = 0.0, 1.0, 1, 1, truediv, truediv
-    tab = [row + [one if j == i else zero for j in range(m)] + [b[i]] for i, row in enumerate(rows)]
+        zero, scale_b, scale_c, unscale = 0.0, 1, 1, truediv
+    tab = []
+    for r, (i, j) in enumerate(rows):
+        row = [0] * (n + m) + [b[r]]
+        row[i] = row[n + r] = 1
+        if j is not None:
+            row[j] = -1
+        tab.append(row)
     tab.append(cost + [zero] * (m + 1))
     basis = list(range(n, n + m))
-    D = 1  # the last pivot
     for _ in range(MAX_PIVOTS):
         enter = next((j for j in range(n + m) if tab[m][j] < -eps), -1)
         if enter < 0:
             value = {var: row[-1] for var, row in zip(basis, tab)}
-            x = [unscale(value.get(j, zero), D * scale_b) for j in range(n)]
-            return unscale(tab[m][-1], D * scale_b * scale_c), x
-        # ratio test by cross-multiplication; the best ratio so far is top / p
-        leave, top, p = -1, zero, zero
-        for i in range(m):
-            a = tab[i][enter]
-            if a > eps:
-                here, best = tab[i][-1] * p, top * a
-                if leave < 0 or here < best or (here == best and basis[i] < basis[leave]):
-                    leave, top, p = i, tab[i][-1], a
+            x = [unscale(value.get(j, zero), scale_b) for j in range(n)]
+            return unscale(tab[m][-1], scale_b * scale_c), x
+        # every eligible entry is 1, so the ratio is the right-hand side
+        leave = min(
+            (i for i in range(m) if tab[i][enter] > 0),
+            key=lambda i: (tab[i][-1], basis[i]),
+            default=-1,
+        )
         if leave < 0:
             raise SolverFailure("linear program is unbounded")
-        unit, prow = p == D == 1, tab[leave]
+        prow = tab[leave]
         for i in range(m + 1):
             f = tab[i][enter]
-            if i == leave or not (f or p != D):
-                continue
-            if unit:
+            if f and i != leave:
                 tab[i] = [v - f * q for v, q in zip(tab[i], prow)]
-            else:
-                tab[i] = [div(v * p - f * q, D) for v, q in zip(tab[i], prow)]
-        D = p
         basis[leave] = enter
     raise SolverFailure("pivot budget exhausted")

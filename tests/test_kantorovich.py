@@ -421,16 +421,12 @@ def full_row_dual(mu, nu):
     c = [mu.weight(p) - nu.weight(p) for p in space.points[1:]]
     rows, rhs = [], []
     for i in range(1, n):
-        row = [0] * (n - 1)
-        row[i - 1] = 1
-        rows.append(row)
+        rows.append((i - 1, None))
         rhs.append(2 * d[0][i])
     for i in range(1, n):
         for j in range(1, n):
             if i != j:
-                row = [0] * (n - 1)
-                row[i - 1], row[j - 1] = 1, -1
-                rows.append(row)
+                rows.append((i - 1, j - 1))
                 rhs.append(max(d[i][j] + d[0][i] - d[0][j], mode.zero))
     lp_value, g = solve_inequality_lp(c, rows, rhs, mode)
     shift = sum(c[i - 1] * d[0][i] for i in range(1, n))

@@ -46,6 +46,13 @@ class TestProbMeasure:
         with pytest.raises(UnknownPoint):
             mu.weight("z")
 
+    def test_weight_off_the_support_is_the_modes_zero(self):
+        exact = space_abc()
+        weight = prob_measure(exact, {"a": 1}).weight("b")
+        assert weight == 0 and type(weight) is Fraction
+        weight = dirac(float_space_ab(), "a").weight("b")
+        assert weight == 0.0 and type(weight) is float
+
     def test_rejects_bad_weights(self):
         space = space_ab()
         with pytest.raises(InvalidWeights):

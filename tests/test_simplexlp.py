@@ -1,8 +1,9 @@
-"""The LP kernel against a plain Fraction-tableau simplex.
+"""The network LP kernel against a plain Fraction-tableau simplex.
 
-Both use Bland's rule, so on every program the exact kernel must pivot alike
-and return the same vertex, not only the same optimal value; the float kernel
-must come within rounding of the same value.
+The kernel takes its rows as index pairs; the reference takes them expanded
+to dense rows.  Both use Bland's rule, so on every program the exact kernel
+must pivot alike and return the same vertex, not only the same optimal
+value; the float kernel must come within rounding of the same value.
 """
 
 import importlib
@@ -20,19 +21,40 @@ from helpers import reference_inequality_lp
 kantorovich_module = importlib.import_module("zfun.kantorovich")
 
 
-def random_rational_lp(rng: random.Random):
-    """A small LP over rationals, far from totally unimodular.
+def dense(rows, n):
+    """The pair rows as dense rows: ``(i, j)`` is ``x_i - x_j``, ``(i, None)`` is ``x_i``."""
+    out = []
+    for i, j in rows:
+        row = [0] * n
+        row[i] = 1
+        if j is not None:
+            row[j] = -1
+        out.append(row)
+    return out
 
-    Coefficients come from a short list with repeats and zeros, and many
-    right-hand sides are 0 or 1, so degenerate vertices, ratio-test ties and
-    optimal faces with several vertices are common.
+
+def reference(c, rows, b):
+    return reference_inequality_lp(c, dense(rows, len(c)), b)
+
+
+def random_network_lp(rng: random.Random):
+    """A small network LP over rationals: pair rows and bound rows.
+
+    Every variable is in some row, so a variable can run off only through
+    pair rows.  Rows may repeat and many right-hand sides are 0 or 1, so
+    degenerate vertices, ratio-test ties and optimal faces with several
+    vertices are common.
     """
-    n, m = rng.randint(1, 5), rng.randint(1, 7)
+    n, extra = rng.randint(1, 5), rng.randint(0, 4)
+    rows = []
+    for k in list(range(n)) + [rng.randrange(n) for _ in range(extra)]:
+        other = rng.choice([None] + [v for v in range(n) if v != k])
+        rows.append((other, k) if other is not None and rng.random() < 0.5 else (k, other))
+    rng.shuffle(rows)
     values = [Fraction(v) for v in (0, 0, 1, 1, 2, -1, "1/2", "-3/2")]
     values.append(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
-    rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
     rhs_values = [Fraction(0), Fraction(1), Fraction(1), Fraction(rng.randint(1, 12), rng.randint(1, 5))]
-    b = [rng.choice(rhs_values) for _ in range(m)]
+    b = [rng.choice(rhs_values) for _ in rows]
     c = [rng.choice(values) for _ in range(n)]
     return c, rows, b
 
@@ -49,27 +71,29 @@ class TestAgainstReference:
         rng = rng_for(3, "simplex-oracle")
         outcomes = {"bounded": 0, "unbounded": 0, "zero rhs": 0}
         for _ in range(1000):
-            c, rows, b = random_rational_lp(rng)
-            expected = reference_inequality_lp(c, rows, b)
+            c, rows, b = random_network_lp(rng)
+            expected = reference(c, rows, b)
             assert solve_or_none(c, rows, b) == expected, (c, rows, b)
+            if expected is None:
+                # a program whose every variable has a bound row is bounded
+                assert {i for i, j in rows if j is None} != set(range(len(c)))
             outcomes["unbounded" if expected is None else "bounded"] += 1
             outcomes["zero rhs"] += 0 in b
         assert min(outcomes.values()) >= 50, outcomes
 
     def test_random_rational_programs_in_float_mode(self):
-        # Pivots here are rarely 1, so float mode runs the Bareiss update,
-        # which no program of this package reaches.
         rng = rng_for(3, "simplex-oracle")
         unbounded = 0
         for _ in range(1000):
-            c, rows, b = random_rational_lp(rng)
-            expected = reference_inequality_lp(c, rows, b)
-            got = solve_or_none(c, rows, b, float_mode())
+            c, rows, b = random_network_lp(rng)
+            expected = reference(c, rows, b)
+            got = solve_or_none([float(v) for v in c], rows, [float(v) for v in b], float_mode())
             assert (got is None) == (expected is None), (c, rows, b)
             if expected is None:
                 unbounded += 1
             else:
                 assert abs(got[0] - expected[0]) <= 1e-9, (c, rows, b)
+                assert all(type(v) is float for v in [got[0], *got[1]])
         assert unbounded >= 50
 
     def test_kantorovich_dual_programs(self, monkeypatch):
@@ -89,39 +113,39 @@ class TestAgainstReference:
             kantorovich_module.kantorovich_dual(mu, nu)
         assert len(programs) == 10
         for c, rows, b in programs:
-            assert solve(c, rows, b, EXACT) == reference_inequality_lp(c, rows, b)
+            assert solve(c, rows, b, EXACT) == reference(c, rows, b)
 
     def test_ratio_tie_goes_to_the_smaller_basic_variable(self):
-        # x0 enters first and leaves row 1, so row 1 holds x0 (index 0) and
-        # row 0 still holds its slack (index 4).  x1 enters next with ratio 1
-        # in both rows; Bland pivots on row 1, and the first row would lead
-        # to the other optimal vertex (0, 0, 1, 1).
-        c, rows, b = [1, 1, 2, 0], [[1, 1, 0, 1], [2, 1, 1, 0], [1, -1, 0, 2]], [1, 1, 2]
-        expected = (Fraction(2), [Fraction(0), Fraction(0), Fraction(1), Fraction(0)])
-        assert reference_inequality_lp(c, rows, b) == expected
+        # max x0 - x1 + x2  s.t.  x1 <= 1, x0 - x1 <= 1, x2 <= 1, x0 - x2 <= 1.
+        # x0 enters first with ratio 1 in rows 1 and 3, whose slacks are
+        # variables 4 and 6; Bland pivots on row 1.  Row 3 would lead to the
+        # other optimal vertex (2, 1, 1).
+        F = Fraction
+        c, rows, b = [F(1), F(-1), F(1)], [(1, None), (0, 1), (2, None), (0, 2)], [F(1)] * 4
+        expected = (F(2), [F(1), F(0), F(1)])
+        assert reference(c, rows, b) == expected
         assert solve_inequality_lp(c, rows, b, EXACT) == expected
+        swapped = [rows[0], rows[3], rows[2], rows[1]]
+        assert solve_inequality_lp(c, swapped, b, EXACT) == (F(2), [F(2), F(1), F(1)])
 
     def test_unbounded_program_raises(self):
-        # max x + y  s.t.  x - y <= 1: y grows without bound
-        c, rows, b = [1, 1], [[1, -1]], [1]
-        assert reference_inequality_lp(c, rows, b) is None
-        with pytest.raises(SolverFailure):
+        # max x + y  s.t.  x - y <= 1: y has no bound row and grows without bound
+        c, rows, b = [Fraction(1), Fraction(1)], [(0, 1)], [Fraction(1)]
+        assert reference(c, rows, b) is None
+        with pytest.raises(SolverFailure, match="unbounded"):
             solve_inequality_lp(c, rows, b, EXACT)
+        with pytest.raises(SolverFailure, match="unbounded"):
+            solve_inequality_lp([1.0, 1.0], rows, [1.0], float_mode())
 
     def test_results_are_fractions(self):
         F = Fraction
-        program = ([F(1, 2), F(1, 3)], [[1, 1], [F(2, 3), 0]], [F(3, 4), F(1, 5)])
+        program = ([F(1, 2), F(1, 3)], [(0, None), (1, 0), (1, None)], [F(3, 4), F(1, 5), F(2, 3)])
         value, x = solve_inequality_lp(*program)
-        assert (value, x) == reference_inequality_lp(*program)
+        assert (value, x) == reference(*program)
         assert all(isinstance(v, Fraction) for v in [value, *x])
 
-
-class TestInputs:
-    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
-    def test_string_numbers_are_parsed_everywhere(self, mode):
-        # max x + y/2  s.t.  x <= 1/2,  x + y <= 2
-        c, rows, b = ["1", "1/2"], [["1", "0"], ["1", "1"]], ["1/2", "2"]
-        value, x = solve_inequality_lp(c, rows, b, mode)
-        assert (value, x) == (Fraction(5, 4), [Fraction(1, 2), Fraction(3, 2)])
+    def test_negative_right_hand_side_is_rejected(self):
         with pytest.raises(BadParameters, match="right-hand side"):
-            solve_inequality_lp(c, rows, ["-1/2", "2"], mode)
+            solve_inequality_lp([Fraction(1)], [(0, None)], [Fraction(-1, 2)], EXACT)
+        with pytest.raises(BadParameters, match="right-hand side"):
+            solve_inequality_lp([1.0], [(0, None)], [-0.5], float_mode())
