@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .numbers import EXACT, Mode, scaled
+from .numbers import EXACT, Mode
 from .spaces import FiniteMetricSpace, MetricMap, metric_map, validate_space
 from .measures import ProbMeasure, prob_measure
 from .stepspace import StepFunction, step_function
@@ -20,10 +21,6 @@ from .stepspace import StepFunction, step_function
 def rng_for(seed: int, label: str) -> random.Random:
     """An independent, reproducible stream for ``(seed, label)``."""
     return random.Random(f"{seed}:{label}")
-
-
-def random_rational(rng: random.Random, num_max: int = 40, den_max: int = 8) -> Fraction:
-    return Fraction(rng.randint(1, num_max), rng.randint(1, den_max))
 
 
 def random_space(
@@ -37,22 +34,27 @@ def random_space(
 
     Draws a symmetric positive weight matrix and closes it under shortest
     paths, which repairs every triangle violation while keeping positivity.
-    The closure runs on the weights scaled to one integer lattice.
+    The closure runs on one integer lattice, which an exact space keeps.
     """
     pts = tuple(labels) if labels is not None else tuple(f"{prefix}{i}" for i in range(size))
     n = len(pts)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    weights, scale = scaled([random_rational(rng) for _ in pairs])
+    draws = [(rng.randint(1, 40), rng.randint(1, 8)) for _ in pairs]
+    scale = lcm(*(q for _, q in draws))
     d = [[0] * n for _ in range(n)]
-    for (i, j), w in zip(pairs, weights):
-        d[i][j] = d[j][i] = w
+    for (i, j), (p, q) in zip(pairs, draws):
+        d[i][j] = d[j][i] = p * (scale // q)
     for k, row_k in enumerate(d):
         for row_i in d:
             dik = row_i[k]
             for j, dkj in enumerate(row_k):
                 if dik + dkj < row_i[j]:
                     row_i[j] = dik + dkj
-    return validate_space(pts, [[Fraction(v, scale) for v in row] for row in d], mode)
+    matrix = [[EXACT.zero] * n for _ in range(n)]
+    for i, j in pairs:
+        matrix[i][j] = matrix[j][i] = Fraction(d[i][j], scale)
+    lattice = (tuple(map(tuple, d)), scale) if mode.is_exact else None
+    return validate_space(pts, tuple(map(tuple, matrix)), mode, lattice=lattice)
 
 
 def normalize_diameter(space: FiniteMetricSpace) -> FiniteMetricSpace:

@@ -159,7 +159,7 @@ def _essential_pairs(space: FiniteMetricSpace) -> list[list[bool]]:
     (the bound row ``g_i <= 2 d(0, i)`` is row (i, 0)).  A point ``k`` splits
     (i, j) when ``e(i, k)`` and ``e(k, j)`` are both shorter than ``e(i, j)``
     and sum to it; rows (i, k) and (k, j) then add up to row (i, j).  Exact
-    mode tests the sum on the distances scaled to ``int``s, tolerance 0;
+    mode tests the sum on the space's lattice ``int``s, tolerance 0;
     there ``d`` is symmetric and positive off the diagonal, so ``keep`` is
     symmetric and both parts are shorter.
 
@@ -178,8 +178,7 @@ def _essential_pairs(space: FiniteMetricSpace) -> list[list[bool]]:
     n = len(space.points)
     keep = [[False] * n for _ in range(n)]
     if space.mode.is_exact:
-        flat, _ = scaled([v for row in space.dist for v in row])
-        d = [flat[i * n:(i + 1) * n] for i in range(n)]
+        d = space.lattice[0]
         for i, di in enumerate(d):
             for j in range(i + 1, n):
                 # d(i, k) + d(k, j) for every k (d is symmetric); k = i and
@@ -327,12 +326,12 @@ def _hang(node, adj, costs, m, pot, parent, depth):
     return reached
 
 
-def _transport_simplex(costs, supply, demand, eps, zero):
+def _transport_simplex(costs, supply, demand, eps, zero, walk_eps=None):
     """Optimal flows for the balanced transportation problem (Bland pivoting).
 
-    ``eps`` is the zero threshold of the reduced costs and the northwest
-    walk, ``zero`` the additive identity of the numbers given.  The keys of
-    the flow dict are the basis cells.
+    ``eps`` is the zero threshold of the reduced costs, and of the northwest
+    walk unless ``walk_eps`` is given; ``zero`` is the additive identity of
+    the numbers given.  The keys of the flow dict are the basis cells.
 
     The basis tree, rooted at row 0, is built once from the northwest
     corner and then kept across pivots (Ahuja, Magnanti & Orlin, *Network
@@ -346,7 +345,7 @@ def _transport_simplex(costs, supply, demand, eps, zero):
     tree before each pivot.
     """
     m, n = len(supply), len(demand)
-    flow = _northwest_corner(supply, demand, eps)
+    flow = _northwest_corner(supply, demand, eps if walk_eps is None else walk_eps)
     adj: list[list[int]] = [[] for _ in range(m + n)]
     for r, c in flow:
         adj[r].append(m + c)
@@ -428,12 +427,15 @@ def kantorovich_primal(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, Transport
     full point set (zero rows/columns off-support).
 
     Exact mode runs the transportation simplex on Python ``int``s: the costs
-    are scaled by the lcm of their denominators, and supply and demand
+    are read from the space's lattice, and supply and demand are scaled
     together by the lcm of the weight denominators.  The transportation
     matrix is totally unimodular, so with integer data every flow and every
-    potential stays an integer and no pivot divides.  One positive scale per
+    potential stays an integer and no pivot divides.  Any positive scale per
     side keeps Bland's entering cell, θ and the leaving tie-break, so the
-    plan is the one the same simplex finds on the ``Fraction``s.
+    plan is the one the same simplex finds on the ``Fraction``s.  Float mode
+    compares reduced costs against ``pivot_eps`` times the largest cost (at
+    least one), since their rounding noise grows with the costs; a fixed
+    threshold let Bland's rule cycle on that noise at large distances.
     """
     space = _require_shared_space(mu, nu)
     mode = space.mode
@@ -445,13 +447,11 @@ def kantorovich_primal(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, Transport
     snk = [space.index(q) for q, _ in nu.weights]
     supply = [w for _, w in mu.weights]
     demand = [w for _, w in nu.weights]
-    costs = [[space.dist[i][j] for j in snk] for i in src]
     n = len(space.points)
     matrix = [[mode.zero] * n for _ in range(n)]
     if mode.is_exact:
-        flat, scale_c = scaled([v for row in costs for v in row])
-        k = len(snk)
-        int_costs = [flat[r * k:(r + 1) * k] for r in range(len(src))]
+        rows, scale_c = space.lattice
+        int_costs = [[rows[i][j] for j in snk] for i in src]
         weights, scale_w = scaled(supply + demand)
         flow = _transport_simplex(
             int_costs, weights[: len(src)], weights[len(src):], 0, 0
@@ -462,7 +462,10 @@ def kantorovich_primal(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, Transport
             total += amount * int_costs[r][c]
         value = Fraction(total, scale_w * scale_c)
     else:
-        flow = _transport_simplex(costs, supply, demand, mode.pivot_eps, mode.zero)
+        costs = [[space.dist[i][j] for j in snk] for i in src]
+        # the northwest walk keeps pivot_eps: its weights sum to one
+        eps = mode.pivot_eps * max(1.0, max(map(max, costs)))
+        flow = _transport_simplex(costs, supply, demand, eps, mode.zero, mode.pivot_eps)
         value = mode.zero
         for (r, c), amount in flow.items():
             if amount < 0:

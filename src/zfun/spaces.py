@@ -12,6 +12,11 @@ the anchor copy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cache, cached_property
+from itertools import chain, combinations
+from math import lcm
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -34,7 +39,8 @@ class FiniteMetricSpace:
     ``mode`` is the arithmetic the distances were validated in; it takes part
     in equality, so an exact and a float space are never equal.  Build
     instances through :func:`validate_space`; the raw constructor trusts its
-    arguments.
+    arguments.  :attr:`lattice` is no field and takes no part in equality,
+    hashing or ``repr``: two ways of building one matrix may scale it apart.
     """
 
     points: tuple[str, ...]
@@ -44,6 +50,12 @@ class FiniteMetricSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+
+    @cached_property
+    def lattice(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """``(rows, scale)`` of ``int``s, ``dist[i][j] == Fraction(rows[i][j], scale)``."""
+        flat, scale = scaled([v for row in self.dist for v in row])
+        return tuple(zip(*[iter(flat)] * len(self.dist))), scale
 
     def __len__(self) -> int:
         return len(self.points)
@@ -81,29 +93,26 @@ def metric_violations(
 
     Checks identity, symmetry, positivity and the triangle inequality over all
     ordered triples of distinct points, in that order.  Exact mode scans the
-    matrix scaled to ``int``s with tolerance zero; float mode scans the floats
-    as given.  Each test is written as ``not (x <= tol)`` or ``not (x > tol)``,
-    the comparisons of :class:`Mode`, so a NaN is a violation in float mode.
+    matrix on its integer lattice, ``int`` rows as given (a space's lattice),
+    with tolerance zero, and walks a pair (i, j) over k only when some k has
+    ``d(i, k) - d(j, k) > d(i, j)``; float mode scans the floats as given.
+    Each test is written as ``not (x <= tol)`` or ``not (x > tol)``, the
+    comparisons of :class:`Mode`, so a NaN is a violation in float mode.
     """
-    n = len(points)
-    if mode.is_exact:
+    n, exact = len(points), mode.is_exact
+    if exact and not set(map(type, chain.from_iterable(dist))) <= {int}:
         flat, _ = scaled([mode.convert(v) for row in dist for v in row])
-        d, tol = [flat[i * n:(i + 1) * n] for i in range(n)], 0
-    else:
-        d, tol = dist, mode.tolerance
-    bad: list[tuple[str, tuple[str, ...]]] = []
-    for i in range(n):
-        if not abs(d[i][i]) <= tol:
-            bad.append(("identity", (points[i],)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not abs(d[i][j] - d[j][i]) <= tol:
-                bad.append(("symmetry", (points[i], points[j])))
-            if not d[i][j] > tol:
-                bad.append(("positivity", (points[i], points[j])))
+        dist = [flat[i * n:(i + 1) * n] for i in range(n)]
+    d, tol = dist, 0 if exact else mode.tolerance
+    bad = [("identity", (points[i],)) for i in range(n) if not abs(d[i][i]) <= tol]
+    for i, j in combinations(range(n), 2):
+        if not abs(d[i][j] - d[j][i]) <= tol:
+            bad.append(("symmetry", (points[i], points[j])))
+        if not d[i][j] > tol:
+            bad.append(("positivity", (points[i], points[j])))
     for i, row_i in enumerate(d):
         for j, row_j in enumerate(d):
-            if i == j:
+            if i == j or exact and max(map(sub, row_i, row_j)) <= row_i[j]:
                 continue
             dij = row_i[j]
             for k, (dik, djk) in enumerate(zip(row_i, row_j)):
@@ -113,32 +122,35 @@ def metric_violations(
 
 
 def validate_space(
-    points: Iterable[str], dist: Sequence[Sequence], mode: Mode = EXACT
+    points: Iterable[str], dist: Sequence[Sequence], mode: Mode = EXACT, *, lattice=None
 ) -> FiniteMetricSpace:
     """Validate labels and matrix and return the immutable space.
 
     Numbers are converted according to ``mode`` (strings like "3/2" accepted).
     Raises :class:`AxiomViolation` carrying *all* violated axioms, with
-    witnesses, if the matrix is not a metric.
+    witnesses, if the matrix is not a metric.  A builder already holding an
+    exact, converted ``dist`` on its lattice passes ``lattice=(rows, scale)``.
     """
     pts = tuple(points)
     _structural_check(pts, dist)
-    matrix = tuple(tuple(mode.convert(v) for v in row) for row in dist)
-    violations = metric_violations(pts, matrix, mode)
+    if lattice is None:
+        dist = tuple(tuple(map(mode.convert, row)) for row in dist)
+    space = FiniteMetricSpace(pts, dist, mode)
+    if lattice is not None:
+        vars(space)["lattice"] = lattice  # what the cached property would hold
+    violations = metric_violations(pts, space.lattice[0] if mode.is_exact else space.dist, mode)
     if violations:
         raise AxiomViolation(violations)
-    return FiniteMetricSpace(pts, matrix, mode)
+    return space
 
 
 def diameter(space: FiniteMetricSpace) -> Num:
     """Largest pairwise distance (zero for a singleton)."""
-    n = len(space.points)
-    best = space.mode.zero
-    for i in range(n):
-        for j in range(i + 1, n):
-            if space.dist[i][j] > best:
-                best = space.dist[i][j]
-    return best
+    if space.mode.is_exact:
+        rows, scale = space.lattice
+        return Fraction(max(map(max, rows)), scale)
+    upper = (v for i, row in enumerate(space.dist) for v in row[i + 1:])
+    return max(upper, default=space.mode.zero)
 
 
 def subspace(space: FiniteMetricSpace, labels: Iterable[str]) -> FiniteMetricSpace:
@@ -252,6 +264,7 @@ def sup_distance(f: MetricMap, g: MetricMap) -> Num:
 # anchor gluing
 
 
+@cache
 def default_anchor(mode: Mode = EXACT) -> FiniteMetricSpace:
     """The minimal anchor: two points at distance exactly one."""
     one = mode.one
@@ -296,6 +309,12 @@ def _anchor_for(
     return anchor
 
 
+def _blocks(a, b, cross) -> tuple[tuple, ...]:
+    """Block-diagonal rows of ``a`` and ``b``, every cross entry ``cross``."""
+    n, m = len(a), len(b)
+    return tuple(tuple(r) + (cross,) * m for r in a) + tuple((cross,) * n + tuple(r) for r in b)
+
+
 def glue_metric(
     space: FiniteMetricSpace, anchor: FiniteMetricSpace | None = None
 ) -> tuple[tuple[Num, ...], ...]:
@@ -305,24 +324,27 @@ def glue_metric(
     every cross distance equals ``max(diameter(space), 1)``.
     """
     anchor = _anchor_for(space, anchor)
-    cross = max(diameter(space), space.mode.one)
-    n, m = len(space.points), len(anchor.points)
-    rows = []
-    for i in range(n):
-        rows.append(tuple(space.dist[i]) + (cross,) * m)
-    for j in range(m):
-        rows.append((cross,) * n + tuple(anchor.dist[j]))
-    return tuple(rows)
+    return _blocks(space.dist, anchor.dist, max(diameter(space), space.mode.one))
 
 
 def glue_space(
     space: FiniteMetricSpace, anchor: FiniteMetricSpace | None = None
 ) -> FiniteMetricSpace:
-    """Adjoin a disjoint copy of the anchor; re-verified by the validator."""
-    anchor = _anchor_for(space, anchor)
+    """Adjoin a disjoint copy of the anchor; re-verified by the validator.
+
+    Exact lattices at scales s and t glue at ``lcm(s, t)``, the cross at ``max(max d, s)``.
+    """
     matrix = glue_metric(space, anchor)
-    extra = relabel_disjoint(anchor.points, space.points)
-    return validate_space(space.points + extra, matrix, space.mode)
+    anchor = _anchor_for(space, anchor)
+    pts = space.points + relabel_disjoint(anchor.points, space.points)
+    if not space.mode.is_exact:
+        return validate_space(pts, matrix, space.mode)
+    (a, s), (b, t) = space.lattice, anchor.lattice
+    scale = lcm(s, t)
+    a = [[v * (scale // s) for v in row] for row in a]
+    b = [[v * (scale // t) for v in row] for row in b]
+    rows = _blocks(a, b, max(max(map(max, a)), scale))
+    return validate_space(pts, matrix, space.mode, lattice=(rows, scale))
 
 
 def glue_map(f: MetricMap, anchor: FiniteMetricSpace | None = None) -> MetricMap:

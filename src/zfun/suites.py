@@ -396,39 +396,17 @@ def _check_glue_blocks(rec, trial, rng, mode, inject_defect):
     matrix = [list(row) for row in glued.dist]
     if inject_defect:
         matrix[n][0] = matrix[0][n] = cross + mode.one
-    ok = True
-    witness = {}
-    for a in range(n):
-        for b in range(n):
-            if not mode.eq(matrix[a][b], space.dist[a][b]):
-                ok, witness = False, {
-                    "block": "restriction",
-                    "pair": [glued.points[a], glued.points[b]],
-                    "expected": _fmt(space.dist[a][b]),
-                    "actual": _fmt(matrix[a][b]),
-                }
-    for a in range(m):
-        for b in range(m):
-            if ok and not mode.eq(matrix[n + a][n + b], anc.dist[a][b]):
-                ok, witness = False, {
-                    "block": "anchor",
-                    "pair": [glued.points[n + a], glued.points[n + b]],
-                    "expected": _fmt(anc.dist[a][b]),
-                    "actual": _fmt(matrix[n + a][n + b]),
-                }
-    for a in range(n):
-        for b in range(m):
-            if ok and not (
-                mode.eq(matrix[a][n + b], cross) and mode.eq(matrix[n + b][a], cross)
-            ):
-                ok, witness = False, {
-                    "block": "cross",
-                    "pair": [glued.points[a], glued.points[n + b]],
-                    "expected": _fmt(cross),
-                    "actual": _fmt(matrix[a][n + b]),
-                }
-    if not ok:
-        rec.fail(trial, **witness)
+    # (block, row, column, expected) in glued coordinates; the first cell
+    # off its block is the witness, and a cross cell is read both ways
+    cells = [("restriction", a, b, space.dist[a][b]) for a in range(n) for b in range(n)]
+    cells += [("anchor", n + a, n + b, anc.dist[a][b]) for a in range(m) for b in range(m)]
+    cells += [("cross", a, n + b, cross) for a in range(n) for b in range(m)]
+    for block, a, b, expected in cells:
+        both = block != "cross" or mode.eq(matrix[b][a], expected)
+        if not (mode.eq(matrix[a][b], expected) and both):
+            rec.fail(trial, block=block, pair=[glued.points[a], glued.points[b]],
+                     expected=_fmt(expected), actual=_fmt(matrix[a][b]))
+            break
 
 
 @check("metric", "metric:glue-diameter", ("glue-diameter", "(i)"))

@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import zfun
 from zfun import cli, fileio
+from zfun.generate import random_measure, random_space, rng_for
 
 # The directory holding the zfun package under test. Child processes run in
 # temp directories, where a relative PYTHONPATH such as ``src`` no longer
@@ -222,6 +224,27 @@ class TestDist:
             assert payload["pass"] is True
             values.append(float(payload["value"]))
         assert abs(values[0] - values[1]) <= 1e-3
+
+    def test_distances_scaled_by_a_third_of_a_million(self, tmp_path, capsys):
+        # distances from 1/24 to 40 times 10^6/3: zfun validate accepts the
+        # space at tolerance 1e-6, so zfun dist must solve it; against an
+        # absolute pivot threshold the transport simplex cycled on rounding
+        # noise until its pivot budget ran out
+        rng = rng_for(73, "gauge")
+        space = random_space(rng, 12)
+        factor = Fraction(10**6, 3)
+        dist = [[str(v * factor) for v in row] for row in space.dist]
+        (tmp_path / "s.json").write_text(json.dumps({"points": list(space.points), "dist": dist}))
+        for name in ("mu", "nu"):
+            weights = {p: str(w) for p, w in random_measure(rng, space).weights}
+            (tmp_path / f"{name}.json").write_text(json.dumps({"space": "s.json", "weights": weights}))
+        flags = ["--mode", "float", "--tolerance", "1e-6"]
+        assert cli.main(["validate", str(tmp_path / "s.json"), *flags]) == 0
+        capsys.readouterr()
+        code = cli.main(["dist", str(tmp_path / "mu.json"), str(tmp_path / "nu.json"), *flags])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert json.loads(out)["pass"] is True
 
     @pytest.mark.parametrize("kind", ["plan", "potential"])
     def test_single_certificate(self, workdir, kind):

@@ -235,29 +235,23 @@ class TestDualVertexPin:
         assert digest == self.DIGESTS[kind]
 
 
-def fraction_primal(mu, nu):
-    """The transport simplex run on the ``Fraction``s themselves, threshold 0.
+def fraction_primal(mu, nu, flow):
+    """Value and plan of the transport simplex's ``flow`` on the ``Fraction``s.
 
-    This is the exact primal route without integer scaling, the reference
-    that the scaled route must reproduce cell for cell.
+    ``flow`` is what the kept simplex finds on the unscaled data with
+    threshold 0 (:func:`lattice_batch`): the exact primal route without
+    integer scaling, the reference that the scaled route must reproduce
+    cell for cell.
     """
     space = mu.space
     src = [space.index(p) for p, _ in mu.weights]
     snk = [space.index(q) for q, _ in nu.weights]
-    costs = [[space.dist[i][j] for j in snk] for i in src]
-    flow = _transport_simplex(
-        costs,
-        [w for _, w in mu.weights],
-        [w for _, w in nu.weights],
-        Fraction(0),
-        Fraction(0),
-    )
     n = len(space.points)
     matrix = [[Fraction(0)] * n for _ in range(n)]
     value = Fraction(0)
     for (r, c), amount in flow.items():
         matrix[src[r]][snk[c]] = amount
-        value += amount * costs[r][c]
+        value += amount * space.dist[src[r]][snk[c]]
     return value, tuple(tuple(row) for row in matrix)
 
 
@@ -300,12 +294,23 @@ def lattice_pairs(rng):
         yield mu, mu if trial % 3 == 2 else draw(rng, space, full)
 
 
+@pytest.fixture(scope="module")
+def lattice_batch():
+    """The 540 lattice pairs, drawn once, each with the flow the kept simplex
+    finds on its ``Fraction`` data at threshold 0.  Two tests share it: the
+    scaled route must reproduce that flow, and so must a rebuilt tree."""
+    return [
+        (mu, nu, _transport_simplex(*transport_data(mu, nu, False), 0, Fraction(0)))
+        for mu, nu in lattice_pairs(rng_for(67, "integer-transport"))
+    ]
+
+
 class TestIntegerTransportMatchesFractions:
-    def test_plan_and_value_match_the_fraction_simplex(self):
+    def test_plan_and_value_match_the_fraction_simplex(self, lattice_batch):
         max_dist_den = max_weight_lcm = 0
-        for mu, nu in lattice_pairs(rng_for(67, "integer-transport")):
+        for mu, nu, flow in lattice_batch:
             value, plan = kantorovich_primal(mu, nu)
-            ref_value, ref_matrix = fraction_primal(mu, nu)
+            ref_value, ref_matrix = fraction_primal(mu, nu, flow)
             assert isinstance(value, Fraction)
             assert value == ref_value
             assert plan.matrix == ref_matrix
@@ -382,18 +387,20 @@ class TestTransportTreeMatchesRebuild:
     """
 
     @staticmethod
-    def assert_same_flow(mu, nu, scale, eps, zero):
+    def assert_same_flow(mu, nu, scale, eps, zero, kept=None):
+        """``kept``, when given, is the kept tree's flow on the same data."""
         data = transport_data(mu, nu, scale)
-        kept = _transport_simplex(*data, eps, zero)
+        if kept is None:
+            kept = _transport_simplex(*data, eps, zero)
         rebuilt, degenerate = reference_transport_simplex(*data, eps, zero)
         assert list(kept.items()) == list(rebuilt.items())
         return degenerate
 
-    def test_lattice_pairs_on_ints_and_fractions(self):
+    def test_lattice_pairs_on_ints_and_fractions(self, lattice_batch):
         degenerate = 0
-        for mu, nu in lattice_pairs(rng_for(67, "integer-transport")):
+        for mu, nu, flow in lattice_batch:
             degenerate += self.assert_same_flow(mu, nu, True, 0, 0)
-            degenerate += self.assert_same_flow(mu, nu, False, 0, Fraction(0))
+            degenerate += self.assert_same_flow(mu, nu, False, 0, Fraction(0), flow)
         assert degenerate > 0
 
     def test_float_pairs_up_to_32_points(self):
@@ -651,6 +658,51 @@ class TestFloatDualOracle:
         reference, values = full_row_dual(mu, nu)
         assert value == reference
         assert potential.as_dict() == dict(zip(space.points, values))
+
+
+@pytest.fixture(scope="module")
+def gauge_programs():
+    """15 sparse exact programs on 12 points, each with its exact value."""
+    rng = rng_for(73, "gauge")
+    programs = []
+    for _ in range(15):
+        space = random_space(rng, 12)
+        mu, nu = random_measure(rng, space), random_measure(rng, space)
+        programs.append((mu, nu, kantorovich(mu, nu)))
+    return programs
+
+
+class TestFloatRoutesAtAnyDistanceScale:
+    """Both float routes solve valid spaces whose distances are scaled up.
+
+    Rounding noise in a reduced cost grows with the costs, so the transport
+    simplex compares them against a threshold relative to the largest cost.
+    Against the absolute threshold 1e-12, 8 of these 15 programs at 10^6/3
+    and tolerance 1e-6 exhausted the pivot budget, Bland's rule cycling on
+    noise, and so did some at 1e5.  Each value must be the exact value times
+    the factor, to within 1e-9 of the largest distance.
+    """
+
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-6])
+    @pytest.mark.parametrize(
+        "factor",
+        [Fraction(1), Fraction(1000, 3), Fraction(10**5), Fraction(10**6, 3)],
+        ids=["1", "1000/3", "1e5", "1e6/3"],
+    )
+    def test_both_routes_match_the_scaled_exact_value(self, gauge_programs, factor, tolerance):
+        mode = float_mode(tolerance)
+        for mu, nu, exact in gauge_programs:
+            space = mu.space
+            dist = [[mode.convert(v * factor) for v in row] for row in space.dist]
+            fspace = validate_space(space.points, dist, mode)
+            fmu, fnu = (
+                prob_measure(fspace, {p: mode.convert(w) for p, w in m.weights})
+                for m in (mu, nu)
+            )
+            bound = 1e-9 * max(1.0, float(diameter(space) * factor))
+            for route in (kantorovich_primal, kantorovich_dual):
+                value, _ = route(fmu, fnu)
+                assert abs(value - float(exact * factor)) <= bound, route.__name__
 
 
 class TestMetricAxioms:

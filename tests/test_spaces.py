@@ -1,7 +1,9 @@
 """Finite metric spaces, maps, sup distance, and anchor gluing."""
 
+import importlib
 import math
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
@@ -15,9 +17,11 @@ from zfun import (
     FormatError,
     SpaceMismatch,
     UnknownPoint,
+    build_finite_fixture,
     compose,
     default_anchor,
     diameter,
+    extend_metric,
     float_mode,
     glue_map,
     glue_metric,
@@ -35,7 +39,7 @@ from zfun import (
     sup_distance,
     validate_space,
 )
-from zfun.generate import random_map, random_space, rng_for
+from zfun.generate import normalize_diameter, random_map, random_space, rng_for
 
 from helpers import (
     all_maps,
@@ -247,6 +251,19 @@ class TestScanMatchesReference:
             ("triangle", ("a", "b", "c")),
             ("triangle", ("c", "b", "a")),
         ]
+
+    def test_row_test_fails_where_no_triangle_is_broken(self):
+        # a diagonal entry below or above zero puts k = j or k = i over the
+        # row test max_k d(i, k) - d(j, k) <= d(i, j) for the pair (0, 1);
+        # walking k then finds no triangle, only the identity violation
+        pts = ["p0", "p1", "p2"]
+        for d, bad in (
+            ([[0, 1, 1], [1, -1, 1], [1, 1, 0]], "p1"),
+            ([[3, 1, 1], [1, 0, 1], [1, 1, 0]], "p0"),
+        ):
+            assert max(map(sub, d[0], d[1])) > d[0][1]
+            expected = [("identity", (bad,))]
+            assert metric_violations(pts, d) == reference_metric_violations(pts, d) == expected
 
     def test_a_non_finite_entry_is_a_format_error_in_exact_mode(self):
         for bad in (math.nan, math.inf):
@@ -482,3 +499,83 @@ class TestGlue:
             incl_dom = metric_map(dom, gdom, {p: p for p in dom.points})
             incl_cod = metric_map(cod, gcod, {p: p for p in cod.points})
             assert compose(big, incl_dom) == compose(incl_cod, f)
+
+
+def lattice_paths():
+    """Exact spaces from every construction path, by path."""
+    rng = rng_for(89, "lattice-paths")
+    plain = [random_space(rng, n) for n in range(1, 7)]
+    anchor = normalize_diameter(random_space(rng, 3, prefix="ω:a"))
+    given = [space_ab(), space_abc(), space_small_diam(), space_square()]
+    ctx = build_finite_fixture(6, 3, seed=0)
+    return {
+        "validate": given,
+        "random": plain,
+        "glue-default": [glue_space(s) for s in plain + given],
+        "glue-custom": [glue_space(s, anchor) for s in plain + given],
+        "subspace": [subspace(s, s.points[::2]) for s in plain + given],
+        "normalize": [anchor] + [normalize_diameter(s) for s in plain[1:]],
+        "extend": [
+            extend_metric(ctx, key, random_space(rng, 3, labels=key))
+            for key in ctx.family[:6]
+        ],
+    }
+
+
+class TestLattice:
+    """An exact space's ``int`` rows over one scale are its distances."""
+
+    @pytest.mark.parametrize(
+        "path",
+        ["validate", "random", "glue-default", "glue-custom", "subspace", "normalize", "extend"],
+    )
+    def test_rows_over_the_scale_are_the_distances(self, path):
+        for space in lattice_paths()[path]:
+            rows, scale = space.lattice
+            assert type(scale) is int and scale > 0
+            assert [len(row) for row in rows] == [len(row) for row in space.dist]
+            for row, dist_row in zip(rows, space.dist):
+                for v, d in zip(row, dist_row):
+                    assert type(v) is int and Fraction(v, scale) == d
+
+    def test_the_scale_takes_no_part_in_equality(self):
+        # random_space keeps the lcm of the denominators it drew, before
+        # reduction; the same matrix read from strings gets the lcm of the
+        # reduced ones
+        rng = rng_for(101, "lattice-scales")
+        scales_differ = 0
+        for n in range(2, 9):
+            built = random_space(rng, n)
+            parsed = validate_space(built.points, [[str(v) for v in row] for row in built.dist])
+            assert built == parsed and hash(built) == hash(parsed)
+            assert repr(built) == repr(parsed) and "lattice" not in repr(built)
+            scales_differ += built.lattice[1] != parsed.lattice[1]
+        assert scales_differ
+
+    def test_every_built_space_is_axiom_scanned(self, monkeypatch):
+        spaces = importlib.import_module("zfun.spaces")
+        scanned = []
+        scan = spaces.metric_violations
+
+        def counting(points, dist, mode):
+            scanned.append(len(points))
+            return scan(points, dist, mode)
+
+        monkeypatch.setattr(spaces, "metric_violations", counting)
+        rng = rng_for(97, "lattice-scans")
+        space = random_space(rng, 4)
+        anchor = normalize_diameter(random_space(rng, 3, prefix="ω:a"))
+        glue_space(space)
+        glue_space(space, anchor)
+        subspace(space, space.points[:2])
+        assert scanned == [4, 3, 3, 6, 7]
+
+    def test_the_scan_reads_a_handed_over_lattice(self):
+        half = Fraction(1, 2)
+        dist = ((Fraction(0), half, half), (half, Fraction(0), half), (half, half, Fraction(0)))
+        rows = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+        assert validate_space("abc", dist, lattice=(rows, 2)).lattice == (rows, 2)
+        broken = ((0, 1, 3), (1, 0, 1), (3, 1, 0))
+        with pytest.raises(AxiomViolation) as err:
+            validate_space("abc", dist, lattice=(broken, 2))
+        assert ("triangle", ("a", "b", "c")) in err.value.violations
