@@ -16,6 +16,14 @@ its right-hand side, and a pivot only adds or subtracts the pivot row.  Exact
 mode scales the right-hand side and the objective to integers, each by one
 positive common multiple, and pivots on Python ``int``s with threshold ``0``;
 float mode pivots on the floats as given with ``Mode.pivot_eps``.
+
+The tableau ``B⁻¹[A I]`` of a network basis follows paths of the basis tree,
+so its rows are mostly zero (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+ch. 11).  Each constraint row is a dict holding only its ±1 entries, with
+the right-hand sides in a separate list; the objective row stays dense.  A
+pivot visits the rows with a nonzero in the entering column and changes each
+only at the pivot row's nonzeros, so it costs the touched rows times the
+pivot row's nonzeros, not the touched rows times the tableau's width.
 """
 
 from __future__ import annotations
@@ -54,33 +62,45 @@ def solve_inequality_lp(
         zero, eps, unscale = 0, 0, Fraction
     else:
         zero, scale_b, scale_c, unscale = 0.0, 1, 1, truediv
+    # constraint rows hold only their nonzero entries, all of them ±1
     tab = []
     for r, (i, j) in enumerate(rows):
-        row = [0] * (n + m) + [b[r]]
-        row[i] = row[n + r] = 1
+        row = {i: 1, n + r: 1}
         if j is not None:
             row[j] = -1
         tab.append(row)
-    tab.append(cost + [zero] * (m + 1))
+    rhs = list(b)
+    obj, z = cost + [zero] * m, zero
     basis = list(range(n, n + m))
     for _ in range(MAX_PIVOTS):
-        enter = next((j for j in range(n + m) if tab[m][j] < -eps), -1)
+        enter = next((j for j, v in enumerate(obj) if v < -eps), -1)
         if enter < 0:
-            value = {var: row[-1] for var, row in zip(basis, tab)}
+            value = dict(zip(basis, rhs))
             x = [unscale(value.get(j, zero), scale_b) for j in range(n)]
-            return unscale(tab[m][-1], scale_b * scale_c), x
+            return unscale(z, scale_b * scale_c), x
+        touched = [i for i, row in enumerate(tab) if enter in row]
         # every eligible entry is 1, so the ratio is the right-hand side
         leave = min(
-            (i for i in range(m) if tab[i][enter] > 0),
-            key=lambda i: (tab[i][-1], basis[i]),
+            (i for i in touched if tab[i][enter] > 0),
+            key=lambda i: (rhs[i], basis[i]),
             default=-1,
         )
         if leave < 0:
             raise SolverFailure("linear program is unbounded")
-        prow = tab[leave]
-        for i in range(m + 1):
-            f = tab[i][enter]
-            if f and i != leave:
-                tab[i] = [v - f * q for v, q in zip(tab[i], prow)]
+        prow, q = tab[leave], rhs[leave]
+        for i in touched:
+            if i != leave:
+                row, f = tab[i], tab[i][enter]
+                for k, p in prow.items():
+                    v = row.get(k, 0) - f * p
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+                rhs[i] = rhs[i] - f * q
+        f = obj[enter]
+        for k, p in prow.items():
+            obj[k] = obj[k] - f * p
+        z = z - f * q
         basis[leave] = enter
     raise SolverFailure("pivot budget exhausted")

@@ -9,16 +9,23 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import truediv
+
+import pytest
 
 from zfun import (
     EXACT,
+    BadParameters,
     FiniteMetricSpace,
     ProbMeasure,
+    SolverFailure,
     metric_map,
     prob_measure,
     validate_space,
 )
 from zfun.kantorovich import _northwest_corner
+from zfun.numbers import scaled
+from zfun.simplexlp import solve_inequality_lp
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +336,80 @@ def reference_inequality_lp(c, rows, b, max_pivots=100_000):
                 tab[i] = [v - factor * p for v, p in zip(tab[i], tab[leave])]
         basis[leave] = enter
     raise AssertionError("pivot budget exhausted")
+
+
+# ---------------------------------------------------------------------------
+# the network LP kernel on a dense tableau
+
+
+def dense_network_lp(c, rows, b, mode=EXACT, max_pivots=100_000):
+    """:func:`zfun.simplexlp.solve_inequality_lp` as it was on a dense tableau.
+
+    Every row is a list over all variables, slacks and the right-hand side,
+    and a pivot rewrites each touched row across its whole width.  The
+    scaling, Bland's rule and every ``v - f * q`` are the kernel's, so the
+    sparse kernel must return the same ``(value, x)`` bit for bit.  Returns
+    ``(value, x, pivots)``; raises :class:`SolverFailure` like the kernel.
+    """
+    n, m = len(c), len(rows)
+    eps = mode.pivot_eps
+    if any(bi < -eps for bi in b):
+        raise BadParameters("right-hand side must be nonnegative")
+    cost = [-v for v in c]
+    if mode.is_exact:
+        b, scale_b = scaled(b)
+        cost, scale_c = scaled(cost)
+        zero, eps, unscale = 0, 0, Fraction
+    else:
+        zero, scale_b, scale_c, unscale = 0.0, 1, 1, truediv
+    tab = []
+    for r, (i, j) in enumerate(rows):
+        row = [0] * (n + m) + [b[r]]
+        row[i] = row[n + r] = 1
+        if j is not None:
+            row[j] = -1
+        tab.append(row)
+    tab.append(cost + [zero] * (m + 1))
+    basis = list(range(n, n + m))
+    for pivots in range(max_pivots):
+        enter = next((j for j in range(n + m) if tab[m][j] < -eps), -1)
+        if enter < 0:
+            value = {var: row[-1] for var, row in zip(basis, tab)}
+            x = [unscale(value.get(j, zero), scale_b) for j in range(n)]
+            return unscale(tab[m][-1], scale_b * scale_c), x, pivots
+        # every eligible entry is 1, so the ratio is the right-hand side
+        leave = min(
+            (i for i in range(m) if tab[i][enter] > 0),
+            key=lambda i: (tab[i][-1], basis[i]),
+            default=-1,
+        )
+        if leave < 0:
+            raise SolverFailure("linear program is unbounded")
+        prow = tab[leave]
+        for i in range(m + 1):
+            f = tab[i][enter]
+            if f and i != leave:
+                tab[i] = [v - f * q for v, q in zip(tab[i], prow)]
+        basis[leave] = enter
+    raise SolverFailure("pivot budget exhausted")
+
+
+def assert_kernel_matches_dense(c, rows, b, mode=EXACT):
+    """The kernel returns what :func:`dense_network_lp` returns, bit for bit.
+
+    Values, types and signs of zero must agree, as ``repr`` shows them.
+    Returns the kernel's ``(value, x)`` and the dense pivot count; a program
+    the dense kernel fails on must fail alike, and the failure is re-raised.
+    """
+    try:
+        *expected, pivots = dense_network_lp(c, rows, b, mode)
+    except SolverFailure as failure:
+        with pytest.raises(SolverFailure, match=str(failure)):
+            solve_inequality_lp(c, rows, b, mode)
+        raise
+    got = solve_inequality_lp(c, rows, b, mode)
+    assert repr(got) == repr(tuple(expected)), (c, rows, b)
+    return got, pivots
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from zfun.numbers import scaled
 from zfun.simplexlp import solve_inequality_lp
 
 from helpers import (
+    assert_kernel_matches_dense,
     assert_plan_feasible,
     assert_potential_feasible,
     brute_min_transport_cost,
@@ -480,6 +481,22 @@ def path_space(mode, stretch=0):
     return validate_space([f"p{i}" for i in range(len(at))], dist, mode)
 
 
+@pytest.fixture
+def dense_checked_dual(monkeypatch):
+    """Every program the dual route solves is solved by the dense kernel too.
+
+    The kernel's sparse rows must give what the dense tableau it replaced
+    gives, bit for bit (:func:`helpers.assert_kernel_matches_dense`).
+    """
+    module = importlib.import_module("zfun.kantorovich")
+
+    def checking(c, rows, b, mode):
+        return assert_kernel_matches_dense(c, rows, b, mode)[0]
+
+    monkeypatch.setattr(module, "solve_inequality_lp", checking)
+
+
+@pytest.mark.usefixtures("dense_checked_dual")
 class TestPrunedDualMatchesFullRows:
     def test_value_matches_and_potential_is_lipschitz(self):
         count = 0
@@ -580,11 +597,13 @@ def clamps_a_row(space):
     )
 
 
+@pytest.mark.usefixtures("dense_checked_dual")
 class TestFloatDualOracle:
     """The float dual pruned under the ulp guard, against two references.
 
     On rational spaces the exact dual gives the true value; on spaces whose
     triangles hold only within the tolerance the full-row float program does.
+    Every pruned program is also checked against the dense kernel.
     """
 
     def test_valid_spaces_match_the_exact_value(self):

@@ -3,7 +3,9 @@
 The kernel takes its rows as index pairs; the reference takes them expanded
 to dense rows.  Both use Bland's rule, so on every program the exact kernel
 must pivot alike and return the same vertex, not only the same optimal
-value; the float kernel must come within rounding of the same value.
+value; the float kernel must come within rounding of the same value.  The
+kernel's own dense predecessor must agree with it bit for bit, in both
+modes, and take the same number of pivots.
 """
 
 import importlib
@@ -12,11 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from zfun import EXACT, BadParameters, SolverFailure, float_mode
+from zfun import EXACT, BadParameters, SolverFailure, float_mode, prob_measure, validate_space
+from zfun import simplexlp
 from zfun.generate import random_measure, random_space, rng_for
 from zfun.simplexlp import solve_inequality_lp
 
-from helpers import reference_inequality_lp
+from helpers import assert_kernel_matches_dense, reference_inequality_lp
 
 kantorovich_module = importlib.import_module("zfun.kantorovich")
 
@@ -149,3 +152,65 @@ class TestAgainstReference:
             solve_inequality_lp([Fraction(1)], [(0, None)], [Fraction(-1, 2)], EXACT)
         with pytest.raises(BadParameters, match="right-hand side"):
             solve_inequality_lp([1.0], [(0, None)], [-0.5], float_mode())
+
+
+def assert_pivot_count(program, mode, pivots):
+    """The kernel solves ``program`` in exactly ``pivots`` pivots."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplexlp, "MAX_PIVOTS", pivots + 1)
+        solve_inequality_lp(*program, mode)
+        patch.setattr(simplexlp, "MAX_PIVOTS", pivots)
+        with pytest.raises(SolverFailure, match="pivot budget exhausted"):
+            solve_inequality_lp(*program, mode)
+
+
+class TestSparseMatchesDense:
+    """The sparse-row kernel against the dense tableau it replaced.
+
+    Both pivot by Bland's rule with the same ``v - f * q`` updates, so they
+    must return the same numbers, bit for bit, after the same pivots.
+    """
+
+    @pytest.mark.parametrize("kind", ["exact", "float"])
+    def test_random_network_programs(self, kind):
+        mode = EXACT if kind == "exact" else float_mode()
+        rng = rng_for(3, "simplex-oracle")
+        counted = []
+        for t in range(1000):
+            c, rows, b = random_network_lp(rng)
+            if kind == "float":
+                c, b = [float(v) for v in c], [float(v) for v in b]
+            try:
+                _, pivots = assert_kernel_matches_dense(c, rows, b, mode)
+            except SolverFailure:
+                continue
+            if t % 10 == 0:
+                assert_pivot_count((c, rows, b), mode, pivots)
+                counted.append(pivots)
+        assert len(counted) >= 50 and max(counted) >= 4, counted
+
+    def test_full_support_dual_programs_up_to_64_points(self, monkeypatch):
+        programs = []
+        solve = kantorovich_module.solve_inequality_lp
+
+        def recording(c, rows, b, mode):
+            programs.append((c, rows, b, mode))
+            return solve(c, rows, b, mode)
+
+        monkeypatch.setattr(kantorovich_module, "solve_inequality_lp", recording)
+        rng = rng_for(89, "sparse-kernel")
+        mode = float_mode()
+        for n in (24, 48, 64):
+            space = random_space(rng, n)
+            mu = random_measure(rng, space, full_support=True)
+            nu = random_measure(rng, space, full_support=True)
+            fspace = validate_space(space.points, space.dist, mode)
+            fmu, fnu = (prob_measure(fspace, dict(m.weights)) for m in (mu, nu))
+            kantorovich_module.kantorovich_dual(mu, nu)
+            kantorovich_module.kantorovich_dual(fmu, fnu)
+        monkeypatch.undo()
+        assert [len(c) for c, _, _, _ in programs] == [23, 23, 47, 47, 63, 63]
+        for c, rows, b, mode in programs:
+            _, pivots = assert_kernel_matches_dense(c, rows, b, mode)
+            if len(c) < 24:  # two more solves each, so only at the cheapest size
+                assert_pivot_count((c, rows, b), mode, pivots)
