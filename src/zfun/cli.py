@@ -405,6 +405,8 @@ def cmd_report(args) -> int:
     obj = fileio.load_json(args.report)
     if not isinstance(obj, dict) or "pass" not in obj:
         raise FormatError("not a report: missing 'pass'")
+    if not isinstance(obj["pass"], bool):
+        raise FormatError("a report's 'pass' must be true or false")
     records = obj.get("records", [])
     if not isinstance(records, list) or not all(
         isinstance(r, dict) and isinstance(r.get("failures", []), list) for r in records
@@ -413,9 +415,8 @@ def cmd_report(args) -> int:
     stream = sys.stdout if args.output is None else sys.stderr
     print(f"command: {obj.get('command', '?')}", file=stream)
     _print_records(obj, stream)
-    passed = bool(obj["pass"])
-    print("PASS" if passed else "FAIL", file=stream)
-    return 0 if passed else 1
+    print("PASS" if obj["pass"] else "FAIL", file=stream)
+    return 0 if obj["pass"] else 1
 
 
 def main(argv=None) -> int:

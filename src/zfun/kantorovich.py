@@ -13,14 +13,12 @@ Two genuinely independent routes compute the same number:
   its potentials).
 
 In exact mode both are exact optima of dual linear programs, so
-:func:`duality_gap` is exactly zero.  Both run on Python ``int``s there: the
-LP kernel scales its right-hand side and objective, and the transportation
-simplex runs on the costs and the weights, each scaled by one positive
-common multiple.  The transportation matrix is totally unimodular, so
-integer supplies, demands and costs keep every flow and potential an
-integer without any division.
-The two routes share no solver code, only that lattice helper,
-:func:`numbers.scaled`.
+:func:`duality_gap` is exactly zero.  :func:`_kernel_numbers` hands both
+kernels Python ``int``s there (the space's lattice and the weights scaled by
+one common multiple), and the floats as given in float mode; each route
+divides its results back once.  Both matrices are totally unimodular, so
+integer data keep every vertex, flow and potential an integer without any
+division.  The two routes share no solver code, only those numbers.
 
 The dual keeps a Lipschitz or bound row only for an essential pair, one that
 no third point splits, so its program has the rows of the transshipment view
@@ -36,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ulp
-from operator import add
+from operator import add, truediv
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -151,8 +149,25 @@ def _require_shared_space(mu: ProbMeasure, nu: ProbMeasure) -> FiniteMetricSpace
 _ULP_SLACK = 4
 
 
-def _essential_pairs(space: FiniteMetricSpace) -> list[list[bool]]:
-    """``keep[i][j]``: no third point splits the ordered pair (i, j).
+def _kernel_numbers(space: FiniteMetricSpace, weights: Sequence[Num]):
+    """``(d, s, w, t, eps, unscale)``: what both kernels run on.
+
+    ``d / s`` is the distance matrix and ``w / t`` the weights; ``eps`` is the
+    kernels' zero threshold, and ``unscale(x, k)`` reads back a result on
+    scale ``k``.  Exact mode gives the space's lattice, :func:`numbers.scaled`
+    weights, ``0`` and ``Fraction``; float mode the floats as given, scales
+    ``1``, ``Mode.pivot_eps`` and ``truediv``.  A positive scale keeps every
+    comparison, so each kernel pivots as on the unscaled numbers.
+    """
+    if space.mode.is_exact:
+        d, s = space.lattice
+        w, t = scaled(weights)
+        return d, s, w, t, 0, Fraction
+    return space.dist, 1, weights, 1, space.mode.pivot_eps, truediv
+
+
+def _essential_pairs(space: FiniteMetricSpace, d) -> list[list[bool]]:
+    """``keep[i][j]``: no third point splits the ordered pair (i, j) of ``d``.
 
     Row (i, j) of the dual is ``g_i - g_j <= e(i, j) + d(0, i) - d(0, j)``,
     where ``e`` is ``d`` read with ``d(0, i)`` both ways at the base point
@@ -178,14 +193,12 @@ def _essential_pairs(space: FiniteMetricSpace) -> list[list[bool]]:
     n = len(space.points)
     keep = [[False] * n for _ in range(n)]
     if space.mode.is_exact:
-        d = space.lattice[0]
         for i, di in enumerate(d):
             for j in range(i + 1, n):
                 # d(i, k) + d(k, j) for every k (d is symmetric); k = i and
                 # k = j always give d(i, j) itself
                 keep[i][j] = keep[j][i] = list(map(add, di, d[j])).count(di[j]) == 2
         return keep
-    d = space.dist
     # a chain gains a few ulps of the largest distance per split and per row
     # that rounding raised, up to 2n of them, which must fit in the tolerance
     if 4 * n * _ULP_SLACK * ulp(max(map(max, d))) > space.mode.tolerance:
@@ -243,18 +256,14 @@ def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPo
     ones do not imply.
     """
     space = _require_shared_space(mu, nu)
-    mode = space.mode
     pts = space.points
     n = len(pts)
-    zero = mode.zero
-    if n == 1:
-        cert = LipschitzPotential(space, ((pts[0], zero),))
-        return zero, cert
-
-    d = space.dist
-    keep = _essential_pairs(space)
-    weight_gap = [mu.weight(p) - nu.weight(p) for p in pts]
-    c = [weight_gap[i] for i in range(1, n)]
+    d, s, w, t, eps, unscale = _kernel_numbers(
+        space, [mu.weight(p) - nu.weight(p) for p in pts]
+    )
+    zero = 0 * eps
+    keep = _essential_pairs(space, d)
+    c = w[1:]
     rows: list[tuple[int, Optional[int]]] = []
     rhs: list[Num] = []
     # bound rows: g_i <= 2 d(0, i)
@@ -268,12 +277,12 @@ def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPo
             if i != j and keep[i][j]:
                 rows.append((i - 1, j - 1))
                 rhs.append(max(d[i][j] + d[0][i] - d[0][j], zero))
-    lp_value, g = solve_inequality_lp(c, rows, rhs, mode)
+    z, g = solve_inequality_lp(c, rows, rhs, eps)
     shift = sum((c[i - 1] * d[0][i] for i in range(1, n)), zero)
-    value = lp_value - shift
-    values = {pts[0]: zero}
+    value = unscale(z - shift, s * t)
+    values = {pts[0]: unscale(zero, s)}
     for i in range(1, n):
-        values[pts[i]] = g[i - 1] - d[0][i]
+        values[pts[i]] = unscale(g[i - 1] - d[0][i], s)
     certificate = lipschitz_potential(space, values)
     return value, certificate
 
@@ -326,12 +335,12 @@ def _hang(node, adj, costs, m, pot, parent, depth):
     return reached
 
 
-def _transport_simplex(costs, supply, demand, eps, zero, walk_eps=None):
+def _transport_simplex(costs, supply, demand, eps, walk_eps):
     """Optimal flows for the balanced transportation problem (Bland pivoting).
 
-    ``eps`` is the zero threshold of the reduced costs, and of the northwest
-    walk unless ``walk_eps`` is given; ``zero`` is the additive identity of
-    the numbers given.  The keys of the flow dict are the basis cells.
+    ``eps`` is the zero threshold of the reduced costs and ``walk_eps`` that
+    of the northwest walk; ``0 * walk_eps`` is the zero of the flows and
+    potentials.  The keys of the flow dict are the basis cells.
 
     The basis tree, rooted at row 0, is built once from the northwest
     corner and then kept across pivots (Ahuja, Magnanti & Orlin, *Network
@@ -345,7 +354,8 @@ def _transport_simplex(costs, supply, demand, eps, zero, walk_eps=None):
     tree before each pivot.
     """
     m, n = len(supply), len(demand)
-    flow = _northwest_corner(supply, demand, eps if walk_eps is None else walk_eps)
+    zero = 0 * walk_eps
+    flow = _northwest_corner(supply, demand, walk_eps)
     adj: list[list[int]] = [[] for _ in range(m + n)]
     for r, c in flow:
         adj[r].append(m + c)
@@ -426,16 +436,15 @@ def kantorovich_primal(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, Transport
     Solved on the supports only; the returned plan matrix is indexed by the
     full point set (zero rows/columns off-support).
 
-    Exact mode runs the transportation simplex on Python ``int``s: the costs
-    are read from the space's lattice, and supply and demand are scaled
-    together by the lcm of the weight denominators.  The transportation
-    matrix is totally unimodular, so with integer data every flow and every
-    potential stays an integer and no pivot divides.  Any positive scale per
-    side keeps Bland's entering cell, θ and the leaving tie-break, so the
-    plan is the one the same simplex finds on the ``Fraction``s.  Float mode
-    compares reduced costs against ``pivot_eps`` times the largest cost (at
-    least one), since their rounding noise grows with the costs; a fixed
-    threshold let Bland's rule cycle on that noise at large distances.
+    One path serves both modes, on the numbers of :func:`_kernel_numbers`.
+    On the exact lattice, threshold ``0`` keeps every flow and potential an
+    integer, and a positive scale keeps every Bland choice, so the plan is
+    the one the simplex finds on the ``Fraction``s.  Reduced costs are
+    compared against the threshold times the largest cost (at least one):
+    float rounding noise grows with the costs, and a fixed threshold let
+    Bland's rule cycle at large distances.  The northwest walk keeps the
+    plain threshold, as its weights sum to one.  A float flow below zero is
+    simplex dust and reads as ``0.0``.
     """
     space = _require_shared_space(mu, nu)
     mode = space.mode
@@ -445,35 +454,22 @@ def kantorovich_primal(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, Transport
         raise InfeasibleMass(f"totals differ: {total_mu} vs {total_nu}")
     src = [space.index(p) for p, _ in mu.weights]
     snk = [space.index(q) for q, _ in nu.weights]
-    supply = [w for _, w in mu.weights]
-    demand = [w for _, w in nu.weights]
-    n = len(space.points)
-    matrix = [[mode.zero] * n for _ in range(n)]
-    if mode.is_exact:
-        rows, scale_c = space.lattice
-        int_costs = [[rows[i][j] for j in snk] for i in src]
-        weights, scale_w = scaled(supply + demand)
-        flow = _transport_simplex(
-            int_costs, weights[: len(src)], weights[len(src):], 0, 0
-        )
-        total = 0
-        for (r, c), amount in flow.items():
-            matrix[src[r]][snk[c]] = Fraction(amount, scale_w)
-            total += amount * int_costs[r][c]
-        value = Fraction(total, scale_w * scale_c)
-    else:
-        costs = [[space.dist[i][j] for j in snk] for i in src]
-        # the northwest walk keeps pivot_eps: its weights sum to one
-        eps = mode.pivot_eps * max(1.0, max(map(max, costs)))
-        flow = _transport_simplex(costs, supply, demand, eps, mode.zero, mode.pivot_eps)
-        value = mode.zero
-        for (r, c), amount in flow.items():
-            if amount < 0:
-                amount = 0.0  # round simplex dust back into the feasible region
-            matrix[src[r]][snk[c]] = matrix[src[r]][snk[c]] + amount
-            value += amount * costs[r][c]
+    d, s, w, t, eps, unscale = _kernel_numbers(
+        space, [v for _, v in mu.weights + nu.weights]
+    )
+    zero = 0 * eps
+    costs = [[d[i][j] for j in snk] for i in src]
+    flow = _transport_simplex(
+        costs, w[: len(src)], w[len(src):], eps * max(1, max(map(max, costs))), eps
+    )
+    matrix = [[mode.zero] * len(space.points) for _ in space.points]
+    total = zero
+    for (r, c), amount in flow.items():
+        amount = max(zero, amount)
+        matrix[src[r]][snk[c]] = unscale(amount, t)
+        total += amount * costs[r][c]
     plan = transport_plan(mu, nu, matrix)
-    return value, plan
+    return unscale(total, s * t), plan
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ row dropped, so ``[A I]`` is totally unimodular: every basis inverse, and
 with it every tableau entry outside the objective row and the right-hand
 side, stays 0 or ±1 (Schrijver, *Theory of Linear and Integer Programming*,
 1986, ch. 19).  Every pivot is therefore 1, the ratio of an eligible row is
-its right-hand side, and a pivot only adds or subtracts the pivot row.  Exact
-mode scales the right-hand side and the objective to integers, each by one
-positive common multiple, and pivots on Python ``int``s with threshold ``0``;
-float mode pivots on the floats as given with ``Mode.pivot_eps``.
+its right-hand side, and a pivot only adds or subtracts the pivot row.  The
+kernel pivots on the numbers it is given: ``int``s or ``Fraction``s with
+threshold ``0`` (:mod:`zfun.kantorovich` hands it the space's lattice), and
+floats with ``Mode.pivot_eps``.
 
 The tableau ``B⁻¹[A I]`` of a network basis follows paths of the basis tree,
 so its rows are mostly zero (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
@@ -28,12 +28,10 @@ pivot row's nonzeros, not the touched rows times the tableau's width.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from operator import truediv
 from typing import Optional, Sequence
 
 from .errors import BadParameters, SolverFailure
-from .numbers import EXACT, Mode, Num, scaled
+from .numbers import Num
 
 MAX_PIVOTS = 100_000
 
@@ -42,26 +40,21 @@ def solve_inequality_lp(
     c: Sequence[Num],
     rows: Sequence[tuple[int, Optional[int]]],
     b: Sequence[Num],
-    mode: Mode = EXACT,
+    eps: Num,
 ) -> tuple[Num, list[Num]]:
     """Optimal value and one optimal vertex of ``max c.x : Ax <= b, x >= 0``.
 
-    ``c`` and ``b`` hold numbers of ``mode``, and ``rows`` the index pairs
-    of ``A``.  Requires ``b >= 0``.  Raises :class:`SolverFailure` if the
-    program is unbounded or the pivot budget is exhausted (neither can occur
-    for the bounded programs built by this package).
+    ``c`` and ``b`` hold numbers of one kind, ``rows`` the index pairs of
+    ``A``, and ``eps`` the zero threshold: ``0`` for ``int``s and
+    ``Fraction``s, ``Mode.pivot_eps`` for floats.  The results are numbers
+    of that kind.  Requires ``b >= 0``.  Raises :class:`SolverFailure` if
+    the program is unbounded or the pivot budget is exhausted (neither can
+    occur for the bounded programs built by this package).
     """
     n, m = len(c), len(rows)
-    eps = mode.pivot_eps
     if any(bi < -eps for bi in b):
         raise BadParameters("right-hand side must be nonnegative")
-    cost = [-v for v in c]
-    if mode.is_exact:
-        b, scale_b = scaled(b)
-        cost, scale_c = scaled(cost)
-        zero, eps, unscale = 0, 0, Fraction
-    else:
-        zero, scale_b, scale_c, unscale = 0.0, 1, 1, truediv
+    zero = 0 * eps
     # constraint rows hold only their nonzero entries, all of them ±1
     tab = []
     for r, (i, j) in enumerate(rows):
@@ -70,14 +63,13 @@ def solve_inequality_lp(
             row[j] = -1
         tab.append(row)
     rhs = list(b)
-    obj, z = cost + [zero] * m, zero
+    obj, z = [-v for v in c] + [zero] * m, zero
     basis = list(range(n, n + m))
     for _ in range(MAX_PIVOTS):
         enter = next((j for j, v in enumerate(obj) if v < -eps), -1)
         if enter < 0:
             value = dict(zip(basis, rhs))
-            x = [unscale(value.get(j, zero), scale_b) for j in range(n)]
-            return unscale(z, scale_b * scale_c), x
+            return z, [value.get(j, zero) for j in range(n)]
         touched = [i for i, row in enumerate(tab) if enter in row]
         # every eligible entry is 1, so the ratio is the right-hand side
         leave = min(

@@ -123,7 +123,7 @@ def phi_n_witness(a: str, n: int, f: StepFunction) -> StepFunction:
     if a not in f.target:
         raise UnknownPoint(f"{a!r} is not a point of the target")
     mode = f.target.mode
-    cut = Fraction(1, n) if mode.is_exact else 1.0 / n
+    cut = mode.convert(Fraction(1, n))
     if cut >= 1:
         return dirac_const(f.target, a)
     bps: list[Num] = [mode.zero, cut]

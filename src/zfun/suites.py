@@ -989,7 +989,8 @@ def _check_head_witness(rec, trial, rng, mode):
     a = rng.choice(target.points)
     n = rng.randint(1, 64)
     witness = phi_n_witness(a, n, f)
-    bound = diameter(target) * (Fraction(1, n) if mode.is_exact else 1.0 / n)
+    head = mode.convert(Fraction(1, n))
+    bound = diameter(target) * head
     if not mode.leq(integral_metric(witness, f), bound):
         rec.fail(trial, distance=_fmt(integral_metric(witness, f)),
                  bound=_fmt(bound))
@@ -1003,7 +1004,6 @@ def _check_head_witness(rec, trial, rng, mode):
         target, g.breakpoints, tuple(rng.choice(others) for _ in g.values)
     )
     min_off = min(target.distance(a, b) for b in others)
-    head = Fraction(1, n) if mode.is_exact else 1.0 / n
     if not mode.leq(head * min_off, integral_metric(witness, avoiding)):
         rec.fail(trial, separation=_fmt(integral_metric(witness, avoiding)),
                  lower_bound=_fmt(head * min_off))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import truediv
 
 import pytest
 
@@ -24,7 +23,6 @@ from zfun import (
     validate_space,
 )
 from zfun.kantorovich import _northwest_corner
-from zfun.numbers import scaled
 from zfun.simplexlp import solve_inequality_lp
 
 
@@ -342,26 +340,20 @@ def reference_inequality_lp(c, rows, b, max_pivots=100_000):
 # the network LP kernel on a dense tableau
 
 
-def dense_network_lp(c, rows, b, mode=EXACT, max_pivots=100_000):
+def dense_network_lp(c, rows, b, eps, max_pivots=100_000):
     """:func:`zfun.simplexlp.solve_inequality_lp` as it was on a dense tableau.
 
     Every row is a list over all variables, slacks and the right-hand side,
     and a pivot rewrites each touched row across its whole width.  The
-    scaling, Bland's rule and every ``v - f * q`` are the kernel's, so the
-    sparse kernel must return the same ``(value, x)`` bit for bit.  Returns
-    ``(value, x, pivots)``; raises :class:`SolverFailure` like the kernel.
+    numbers as given, the threshold ``eps``, Bland's rule and every
+    ``v - f * q`` are the kernel's, so the sparse kernel must return the same
+    ``(value, x)`` bit for bit.  Returns ``(value, x, pivots)``; raises
+    :class:`SolverFailure` like the kernel.
     """
     n, m = len(c), len(rows)
-    eps = mode.pivot_eps
     if any(bi < -eps for bi in b):
         raise BadParameters("right-hand side must be nonnegative")
-    cost = [-v for v in c]
-    if mode.is_exact:
-        b, scale_b = scaled(b)
-        cost, scale_c = scaled(cost)
-        zero, eps, unscale = 0, 0, Fraction
-    else:
-        zero, scale_b, scale_c, unscale = 0.0, 1, 1, truediv
+    zero = 0 * eps
     tab = []
     for r, (i, j) in enumerate(rows):
         row = [0] * (n + m) + [b[r]]
@@ -369,14 +361,13 @@ def dense_network_lp(c, rows, b, mode=EXACT, max_pivots=100_000):
         if j is not None:
             row[j] = -1
         tab.append(row)
-    tab.append(cost + [zero] * (m + 1))
+    tab.append([-v for v in c] + [zero] * (m + 1))
     basis = list(range(n, n + m))
     for pivots in range(max_pivots):
         enter = next((j for j in range(n + m) if tab[m][j] < -eps), -1)
         if enter < 0:
             value = {var: row[-1] for var, row in zip(basis, tab)}
-            x = [unscale(value.get(j, zero), scale_b) for j in range(n)]
-            return unscale(tab[m][-1], scale_b * scale_c), x, pivots
+            return tab[m][-1], [value.get(j, zero) for j in range(n)], pivots
         # every eligible entry is 1, so the ratio is the right-hand side
         leave = min(
             (i for i in range(m) if tab[i][enter] > 0),
@@ -394,7 +385,7 @@ def dense_network_lp(c, rows, b, mode=EXACT, max_pivots=100_000):
     raise SolverFailure("pivot budget exhausted")
 
 
-def assert_kernel_matches_dense(c, rows, b, mode=EXACT):
+def assert_kernel_matches_dense(c, rows, b, eps):
     """The kernel returns what :func:`dense_network_lp` returns, bit for bit.
 
     Values, types and signs of zero must agree, as ``repr`` shows them.
@@ -402,12 +393,12 @@ def assert_kernel_matches_dense(c, rows, b, mode=EXACT):
     the dense kernel fails on must fail alike, and the failure is re-raised.
     """
     try:
-        *expected, pivots = dense_network_lp(c, rows, b, mode)
+        *expected, pivots = dense_network_lp(c, rows, b, eps)
     except SolverFailure as failure:
         with pytest.raises(SolverFailure, match=str(failure)):
-            solve_inequality_lp(c, rows, b, mode)
+            solve_inequality_lp(c, rows, b, eps)
         raise
-    got = solve_inequality_lp(c, rows, b, mode)
+    got = solve_inequality_lp(c, rows, b, eps)
     assert repr(got) == repr(tuple(expected)), (c, rows, b)
     return got, pivots
 

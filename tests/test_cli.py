@@ -620,6 +620,16 @@ class TestReport:
             "error: a report's 'records' must be a list of objects"
         ]
 
+    @pytest.mark.parametrize("verdict", ["false", 0, 1, None], ids=repr)
+    def test_pass_that_is_not_a_boolean_exits_two(self, tmp_path, verdict):
+        (tmp_path / "odd.json").write_text(json.dumps({"pass": verdict, "records": []}))
+        proc = run_cli("report", "odd.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "PASS" not in proc.stdout
+        assert proc.stderr.strip().splitlines() == [
+            "error: a report's 'pass' must be true or false"
+        ]
+
 
 class TestUsage:
     @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ package are cross-examined by code sharing nothing with either.
 
 import hashlib
 import importlib
+import itertools
 from fractions import Fraction
 from math import lcm, ulp
 
@@ -41,7 +42,7 @@ from zfun.generate import (
     random_space,
     rng_for,
 )
-from zfun.kantorovich import _essential_pairs, _transport_simplex
+from zfun.kantorovich import LipschitzPotential, _essential_pairs, _transport_simplex
 from zfun.numbers import scaled
 from zfun.simplexlp import solve_inequality_lp
 
@@ -236,6 +237,49 @@ class TestDualVertexPin:
         assert digest == self.DIGESTS[kind]
 
 
+class TestKernelNumbers:
+    """Both kernels get ``int``s with threshold 0 in exact mode and floats
+    with float thresholds in float mode."""
+
+    @pytest.mark.parametrize("kind", ["exact", "float"])
+    def test_numbers_handed_to_the_kernels(self, monkeypatch, kind):
+        module = importlib.import_module("zfun.kantorovich")
+        lp, transport = module.solve_inequality_lp, module._transport_simplex
+        seen = []
+
+        def recording_lp(c, rows, b, eps):
+            seen.append(("lp", [*c, *b], (eps,)))
+            return lp(c, rows, b, eps)
+
+        def recording_transport(costs, supply, demand, eps, walk_eps):
+            seen.append(("transport", [*sum(costs, []), *supply, *demand], (eps, walk_eps)))
+            return transport(costs, supply, demand, eps, walk_eps)
+
+        monkeypatch.setattr(module, "solve_inequality_lp", recording_lp)
+        monkeypatch.setattr(module, "_transport_simplex", recording_transport)
+        for mu, nu in itertools.islice(pinned_pairs(kind, rng_for(59, "kernel-numbers")), 30):
+            kantorovich_dual(mu, nu)
+            kantorovich_primal(mu, nu)
+        assert [k for k, _, _ in seen] == ["lp", "transport"] * 30
+        number = int if kind == "exact" else float
+        for k, numbers, thresholds in seen:
+            assert {type(v) for v in numbers} == {number}
+            if kind == "exact":
+                assert [(type(e), e) for e in thresholds] == [(int, 0)] * len(thresholds)
+            else:
+                assert thresholds[-1] == float_mode().pivot_eps
+                assert all(type(e) is float and e > 0 for e in thresholds)
+
+    @pytest.mark.parametrize("kind", ["exact", "float"])
+    def test_one_point_dual_is_the_zero_potential(self, kind):
+        mode = EXACT if kind == "exact" else float_mode()
+        space = validate_space(["a"], [["0"]], mode)
+        delta = dirac(space, "a")
+        expected = (mode.zero, LipschitzPotential(space, (("a", mode.zero),)))
+        assert repr(kantorovich_dual(delta, delta)) == repr(expected)
+        assert repr(expected[0]) == ("Fraction(0, 1)" if kind == "exact" else "0.0")
+
+
 def fraction_primal(mu, nu, flow):
     """Value and plan of the transport simplex's ``flow`` on the ``Fraction``s.
 
@@ -392,7 +436,7 @@ class TestTransportTreeMatchesRebuild:
         """``kept``, when given, is the kept tree's flow on the same data."""
         data = transport_data(mu, nu, scale)
         if kept is None:
-            kept = _transport_simplex(*data, eps, zero)
+            kept = _transport_simplex(*data, eps, eps)
         rebuilt, degenerate = reference_transport_simplex(*data, eps, zero)
         assert list(kept.items()) == list(rebuilt.items())
         return degenerate
@@ -436,7 +480,7 @@ def full_row_dual(mu, nu):
             if i != j:
                 rows.append((i - 1, j - 1))
                 rhs.append(max(d[i][j] + d[0][i] - d[0][j], mode.zero))
-    lp_value, g = solve_inequality_lp(c, rows, rhs, mode)
+    lp_value, g = solve_inequality_lp(c, rows, rhs, mode.pivot_eps)
     shift = sum(c[i - 1] * d[0][i] for i in range(1, n))
     return lp_value - shift, (mode.zero, *(g[i - 1] - d[0][i] for i in range(1, n)))
 
@@ -490,8 +534,8 @@ def dense_checked_dual(monkeypatch):
     """
     module = importlib.import_module("zfun.kantorovich")
 
-    def checking(c, rows, b, mode):
-        return assert_kernel_matches_dense(c, rows, b, mode)[0]
+    def checking(c, rows, b, eps):
+        return assert_kernel_matches_dense(c, rows, b, eps)[0]
 
     monkeypatch.setattr(module, "solve_inequality_lp", checking)
 
@@ -526,9 +570,9 @@ class TestPrunedDualMatchesFullRows:
         module = importlib.import_module("zfun.kantorovich")
         shapes = []
 
-        def recording(c, rows, b, mode):
+        def recording(c, rows, b, eps):
             shapes.append(len(rows))
-            return solve_inequality_lp(c, rows, b, mode)
+            return solve_inequality_lp(c, rows, b, eps)
 
         monkeypatch.setattr(module, "solve_inequality_lp", recording)
         space = path_space(mode, stretch)
@@ -618,7 +662,9 @@ class TestFloatDualOracle:
             assert abs(value - float(kantorovich(mu, nu))) <= ulps
             assert_potential_feasible(fmu.space, potential.as_dict(), ulps)
             # the guard keeps the pairs that the exact integer test keeps
-            assert _essential_pairs(fmu.space) == _essential_pairs(space)
+            assert _essential_pairs(fmu.space, fmu.space.dist) == _essential_pairs(
+                space, space.lattice[0]
+            )
 
     def test_spaces_within_tolerance_match_the_full_row_program(self):
         mode = float_mode(1e-3)
@@ -672,7 +718,7 @@ class TestFloatDualOracle:
         space = validate_space([f"x{i}" for i in range(6)], dist, mode)
         mu = prob_measure(space, {f"x{i}": Fraction(w, 31) for i, w in enumerate((5, 8, 1, 9, 6, 2))})
         nu = prob_measure(space, {f"x{i}": Fraction(w, 37) for i, w in enumerate((3, 7, 6, 7, 8, 6))})
-        assert _essential_pairs(space) == [[i != j for j in range(6)] for i in range(6)]
+        assert _essential_pairs(space, space.dist) == [[i != j for j in range(6)] for i in range(6)]
         value, potential = kantorovich_dual(mu, nu)
         reference, values = full_row_dual(mu, nu)
         assert value == reference

@@ -4,8 +4,8 @@ The kernel takes its rows as index pairs; the reference takes them expanded
 to dense rows.  Both use Bland's rule, so on every program the exact kernel
 must pivot alike and return the same vertex, not only the same optimal
 value; the float kernel must come within rounding of the same value.  The
-kernel's own dense predecessor must agree with it bit for bit, in both
-modes, and take the same number of pivots.
+kernel's own dense predecessor must agree with it bit for bit, on ints,
+Fractions and floats, and take the same number of pivots.
 """
 
 import importlib
@@ -14,14 +14,17 @@ from fractions import Fraction
 
 import pytest
 
-from zfun import EXACT, BadParameters, SolverFailure, float_mode, prob_measure, validate_space
+from zfun import BadParameters, SolverFailure, float_mode, prob_measure, validate_space
 from zfun import simplexlp
 from zfun.generate import random_measure, random_space, rng_for
+from zfun.numbers import scaled
 from zfun.simplexlp import solve_inequality_lp
 
 from helpers import assert_kernel_matches_dense, reference_inequality_lp
 
 kantorovich_module = importlib.import_module("zfun.kantorovich")
+
+FLOAT_EPS = float_mode().pivot_eps
 
 
 def dense(rows, n):
@@ -62,9 +65,9 @@ def random_network_lp(rng: random.Random):
     return c, rows, b
 
 
-def solve_or_none(c, rows, b, mode=EXACT):
+def solve_or_none(c, rows, b, eps=0):
     try:
-        return solve_inequality_lp(c, rows, b, mode)
+        return solve_inequality_lp(c, rows, b, eps)
     except SolverFailure:
         return None
 
@@ -90,7 +93,7 @@ class TestAgainstReference:
         for _ in range(1000):
             c, rows, b = random_network_lp(rng)
             expected = reference(c, rows, b)
-            got = solve_or_none([float(v) for v in c], rows, [float(v) for v in b], float_mode())
+            got = solve_or_none([float(v) for v in c], rows, [float(v) for v in b], FLOAT_EPS)
             assert (got is None) == (expected is None), (c, rows, b)
             if expected is None:
                 unbounded += 1
@@ -103,9 +106,9 @@ class TestAgainstReference:
         programs = []
         solve = kantorovich_module.solve_inequality_lp
 
-        def recording(c, rows, b, mode):
+        def recording(c, rows, b, eps):
             programs.append((c, rows, b))
-            return solve(c, rows, b, mode)
+            return solve(c, rows, b, eps)
 
         monkeypatch.setattr(kantorovich_module, "solve_inequality_lp", recording)
         rng = rng_for(5, "dual-oracle")
@@ -116,7 +119,7 @@ class TestAgainstReference:
             kantorovich_module.kantorovich_dual(mu, nu)
         assert len(programs) == 10
         for c, rows, b in programs:
-            assert solve(c, rows, b, EXACT) == reference(c, rows, b)
+            assert solve(c, rows, b, 0) == reference(c, rows, b)
 
     def test_ratio_tie_goes_to_the_smaller_basic_variable(self):
         # max x0 - x1 + x2  s.t.  x1 <= 1, x0 - x1 <= 1, x2 <= 1, x0 - x2 <= 1.
@@ -127,41 +130,49 @@ class TestAgainstReference:
         c, rows, b = [F(1), F(-1), F(1)], [(1, None), (0, 1), (2, None), (0, 2)], [F(1)] * 4
         expected = (F(2), [F(1), F(0), F(1)])
         assert reference(c, rows, b) == expected
-        assert solve_inequality_lp(c, rows, b, EXACT) == expected
+        assert solve_inequality_lp(c, rows, b, 0) == expected
         swapped = [rows[0], rows[3], rows[2], rows[1]]
-        assert solve_inequality_lp(c, swapped, b, EXACT) == (F(2), [F(2), F(1), F(1)])
+        assert solve_inequality_lp(c, swapped, b, 0) == (F(2), [F(2), F(1), F(1)])
 
     def test_unbounded_program_raises(self):
         # max x + y  s.t.  x - y <= 1: y has no bound row and grows without bound
         c, rows, b = [Fraction(1), Fraction(1)], [(0, 1)], [Fraction(1)]
         assert reference(c, rows, b) is None
         with pytest.raises(SolverFailure, match="unbounded"):
-            solve_inequality_lp(c, rows, b, EXACT)
+            solve_inequality_lp(c, rows, b, 0)
         with pytest.raises(SolverFailure, match="unbounded"):
-            solve_inequality_lp([1.0, 1.0], rows, [1.0], float_mode())
+            solve_inequality_lp([1.0, 1.0], rows, [1.0], FLOAT_EPS)
 
-    def test_results_are_fractions(self):
+    @pytest.mark.parametrize("kind", [int, Fraction, float])
+    def test_results_are_the_numbers_given(self, kind):
+        # x1 stays nonbasic at zero, so the zero of the given kind shows too
         F = Fraction
-        program = ([F(1, 2), F(1, 3)], [(0, None), (1, 0), (1, None)], [F(3, 4), F(1, 5), F(2, 3)])
-        value, x = solve_inequality_lp(*program)
-        assert (value, x) == reference(*program)
-        assert all(isinstance(v, Fraction) for v in [value, *x])
+        c, rows, b = [F(1, 2), F(-1, 3)], [(0, None), (1, 0), (1, None)], [F(3, 4), F(1, 5), F(2, 3)]
+        value, x = reference(c, rows, b)
+        assert x[1] == 0
+        if kind is int:
+            (c, t), (b, s) = scaled(c), scaled(b)
+            value, x = value * s * t, [v * s for v in x]
+        eps = {int: 0, Fraction: F(0), float: FLOAT_EPS}[kind]
+        got = solve_inequality_lp([kind(v) for v in c], rows, [kind(v) for v in b], eps)
+        assert got == (kind(value), [kind(v) for v in x])
+        assert {type(v) for v in [got[0], *got[1]]} == {kind}
 
     def test_negative_right_hand_side_is_rejected(self):
         with pytest.raises(BadParameters, match="right-hand side"):
-            solve_inequality_lp([Fraction(1)], [(0, None)], [Fraction(-1, 2)], EXACT)
+            solve_inequality_lp([Fraction(1)], [(0, None)], [Fraction(-1, 2)], 0)
         with pytest.raises(BadParameters, match="right-hand side"):
-            solve_inequality_lp([1.0], [(0, None)], [-0.5], float_mode())
+            solve_inequality_lp([1.0], [(0, None)], [-0.5], FLOAT_EPS)
 
 
-def assert_pivot_count(program, mode, pivots):
+def assert_pivot_count(program, eps, pivots):
     """The kernel solves ``program`` in exactly ``pivots`` pivots."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplexlp, "MAX_PIVOTS", pivots + 1)
-        solve_inequality_lp(*program, mode)
+        solve_inequality_lp(*program, eps)
         patch.setattr(simplexlp, "MAX_PIVOTS", pivots)
         with pytest.raises(SolverFailure, match="pivot budget exhausted"):
-            solve_inequality_lp(*program, mode)
+            solve_inequality_lp(*program, eps)
 
 
 class TestSparseMatchesDense:
@@ -171,21 +182,23 @@ class TestSparseMatchesDense:
     must return the same numbers, bit for bit, after the same pivots.
     """
 
-    @pytest.mark.parametrize("kind", ["exact", "float"])
+    @pytest.mark.parametrize("kind", ["int", "fraction", "float"])
     def test_random_network_programs(self, kind):
-        mode = EXACT if kind == "exact" else float_mode()
+        eps = {"int": 0, "fraction": Fraction(0), "float": FLOAT_EPS}[kind]
         rng = rng_for(3, "simplex-oracle")
         counted = []
         for t in range(1000):
             c, rows, b = random_network_lp(rng)
-            if kind == "float":
+            if kind == "int":
+                (c, _), (b, _) = scaled(c), scaled(b)
+            elif kind == "float":
                 c, b = [float(v) for v in c], [float(v) for v in b]
             try:
-                _, pivots = assert_kernel_matches_dense(c, rows, b, mode)
+                _, pivots = assert_kernel_matches_dense(c, rows, b, eps)
             except SolverFailure:
                 continue
             if t % 10 == 0:
-                assert_pivot_count((c, rows, b), mode, pivots)
+                assert_pivot_count((c, rows, b), eps, pivots)
                 counted.append(pivots)
         assert len(counted) >= 50 and max(counted) >= 4, counted
 
@@ -193,9 +206,9 @@ class TestSparseMatchesDense:
         programs = []
         solve = kantorovich_module.solve_inequality_lp
 
-        def recording(c, rows, b, mode):
-            programs.append((c, rows, b, mode))
-            return solve(c, rows, b, mode)
+        def recording(c, rows, b, eps):
+            programs.append((c, rows, b, eps))
+            return solve(c, rows, b, eps)
 
         monkeypatch.setattr(kantorovich_module, "solve_inequality_lp", recording)
         rng = rng_for(89, "sparse-kernel")
@@ -210,7 +223,7 @@ class TestSparseMatchesDense:
             kantorovich_module.kantorovich_dual(fmu, fnu)
         monkeypatch.undo()
         assert [len(c) for c, _, _, _ in programs] == [23, 23, 47, 47, 63, 63]
-        for c, rows, b, mode in programs:
-            _, pivots = assert_kernel_matches_dense(c, rows, b, mode)
+        for c, rows, b, eps in programs:
+            _, pivots = assert_kernel_matches_dense(c, rows, b, eps)
             if len(c) < 24:  # two more solves each, so only at the cheapest size
-                assert_pivot_count((c, rows, b), mode, pivots)
+                assert_pivot_count((c, rows, b), eps, pivots)
