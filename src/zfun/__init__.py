@@ -63,8 +63,6 @@ from .scheme import (
     padded_map,
     padded_points,
     padded_space,
-    pointwise_fixing_bijections,
-    subset_preserving_bijections,
 )
 from .spaces import (
     ANCHOR_PREFIX,
@@ -121,8 +119,7 @@ __all__ = [
     "ContinuationContext", "ExtensionResult", "build_finite_fixture",
     "decompose_automorphism", "extend_map", "extend_metric",
     "extension_isometry_check", "member_space", "padded_map",
-    "padded_points", "padded_space", "pointwise_fixing_bijections",
-    "subset_preserving_bijections",
+    "padded_points", "padded_space",
     "ANCHOR_PREFIX", "FiniteMetricSpace", "MetricMap", "compose",
     "default_anchor", "diameter", "glue_map", "glue_metric", "glue_space",
     "identity_map", "image", "invert", "is_bijective", "is_injective",

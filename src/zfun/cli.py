@@ -25,16 +25,16 @@ from .scheme import (
     extend_map,
     member_space,
 )
-from .spaces import (
-    compose,
-    glue_space,
-    identity_map,
-    image,
-    is_injective,
-    is_surjective,
-    metric_map,
+from .spaces import compose, glue_space, identity_map, metric_map
+from .suites import (
+    CheckRecord,
+    Report,
+    RunConfig,
+    extension_functor_laws,
+    extension_restricts,
+    extension_transfers,
+    run_suite,
 )
-from .suites import CheckRecord, Report, RunConfig, run_suite
 
 
 def _trial_count(text: str) -> int:
@@ -329,44 +329,18 @@ def cmd_extend(args) -> int:
     result = extend_map(ctx, phi)
     hat = result.extension
 
-    records = []
-    rec = CheckRecord("extension-restricts", "(b)")
-    rec.instances = len(dom.points)
-    for x in dom.points:
-        if hat(x) != phi(x):
-            rec.fail(0, point=x, original=phi(x), extension=hat(x))
-    records.append(rec)
-
+    records = [CheckRecord("extension-restricts", "(b)", len(dom.points))]
+    extension_restricts(records[0], 0, phi, hat)
     if args.check_laws:
-        rec = CheckRecord("identity-law", "(a)")
-        rec.instances = 1
-        ident = extend_map(ctx, identity_map(dom)).extension
-        if ident != identity_map(ctx.ambient):
-            rec.fail(0, law="identity extension differs from the ambient identity")
-        if extend_map(ctx, compose(phi, identity_map(dom))).extension != compose(
-            hat, ident
-        ):
-            rec.fail(0, law="composition with the identity is not preserved")
-        records.append(rec)
-
-        rec = CheckRecord("injectivity-transfer", "(c)")
-        rec.instances = 1
-        if is_injective(hat) != is_injective(phi):
-            rec.fail(0, original=is_injective(phi), extension=is_injective(hat))
-        records.append(rec)
-
-        rec = CheckRecord("image-trace", "(d)")
-        rec.instances = 1
-        trace = set(image(hat)) & set(cod.points)
-        if trace != set(image(phi)):
-            rec.fail(0, trace=sorted(trace), expected=sorted(image(phi)))
-        records.append(rec)
-
-        rec = CheckRecord("surjectivity-transfer", "(e)")
-        rec.instances = 1
-        if is_surjective(hat) != is_surjective(phi):
-            rec.fail(0, original=is_surjective(phi), extension=is_surjective(hat))
-        records.append(rec)
+        laws = [CheckRecord(name, tag, 1) for name, tag in (
+            ("identity-law", "(a)"), ("injectivity-transfer", "(c)"),
+            ("image-trace", "(d)"), ("surjectivity-transfer", "(e)"),
+        )]
+        # law (a) on the identity of the domain and the map: the composite
+        # is the map itself
+        extension_functor_laws(laws[0], 0, ctx, identity_map(dom), phi)
+        extension_transfers(laws[1:], 0, ctx, phi, hat)
+        records += laws
 
     cfg = RunConfig(mode=mode, seed=seed, trials=1,
                     n=len(ctx.ambient.points), k=ctx.subset_size)

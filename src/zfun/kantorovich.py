@@ -43,7 +43,7 @@ from .errors import (
     SolverFailure,
     SpaceMismatch,
 )
-from .measures import ProbMeasure, dirac, pushforward
+from .measures import ProbMeasure, dirac, integrate, pushforward
 from .numbers import Num, scaled
 from .simplexlp import MAX_PIVOTS, solve_inequality_lp
 from .spaces import FiniteMetricSpace, MetricMap, diameter, sup_distance
@@ -87,9 +87,7 @@ def lipschitz_potential(
 def potential_gap(f: LipschitzPotential, mu: ProbMeasure, nu: ProbMeasure) -> Num:
     """``|∫f dμ − ∫f dν|`` — what any feasible potential certifies as a lower bound."""
     table = f.as_dict()
-    total = sum((w * table[p] for p, w in mu.weights), 0) - sum(
-        (w * table[p] for p, w in nu.weights), 0
-    )
+    total = integrate(table, mu) - integrate(table, nu)
     return -total if total < 0 else total
 
 

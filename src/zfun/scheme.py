@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (
-    AnchorDiameterNotOne,
     BadParameters,
     InvalidMetric,
     NotInFamily,
@@ -240,7 +239,8 @@ def extend_metric(
     Pull the metric back along the chart, adjoin the pad at cross distance
     ``max(diameter, 1)``, and push the result forward to ambient labels.  The
     output restricts to ``d`` on the member exactly (for any charts) and is
-    re-validated as a metric.
+    re-validated as a metric.  A one-point pad has diameter 0, so the gluing
+    raises :class:`AnchorDiameterNotOne` when ``n - k == 1``.
     """
     key = ctx.member(member)
     if set(d.points) != set(key):
@@ -249,11 +249,6 @@ def extend_metric(
         )
     if d.mode != ctx.ambient.mode:
         raise SpaceMismatch("the metric is not in the ambient space's mode")
-    if len(ctx.pad.points) == 1:
-        raise AnchorDiameterNotOne(
-            "single-point pads cannot carry the diameter-one metric "
-            "required for metric extension"
-        )
     mode = d.mode
     h = ctx.chart(key)
     # pull back: a relabeling of the validated ``d``, so it is not re-validated
@@ -328,31 +323,15 @@ def decompose_automorphism(
     return u, v
 
 
-def subset_preserving_bijections(
-    ctx: ContinuationContext, member: Sequence[str]
+def _bijections(
+    ctx: ContinuationContext, member: Sequence[str], inside: bool
 ) -> list[MetricMap]:
-    """All ambient self-bijections carrying the member onto itself, in a
-    deterministic order (lexicographic in ambient point order)."""
+    """All ambient self-bijections carrying the member onto itself, lexicographic
+    in ambient point order; with ``inside`` false, only those fixing it pointwise."""
     key = ctx.member(member)
     rest = tuple(p for p in ctx.ambient.points if p not in key)
-    out = []
-    for sigma in itertools.permutations(key):
-        for tau in itertools.permutations(rest):
-            table = dict(zip(key, sigma))
-            table.update(zip(rest, tau))
-            out.append(metric_map(ctx.ambient, ctx.ambient, table))
-    return out
-
-
-def pointwise_fixing_bijections(
-    ctx: ContinuationContext, member: Sequence[str]
-) -> list[MetricMap]:
-    """All ambient self-bijections fixing the member pointwise."""
-    key = ctx.member(member)
-    rest = tuple(p for p in ctx.ambient.points if p not in key)
-    out = []
-    for tau in itertools.permutations(rest):
-        table = {x: x for x in key}
-        table.update(zip(rest, tau))
-        out.append(metric_map(ctx.ambient, ctx.ambient, table))
-    return out
+    return [
+        metric_map(ctx.ambient, ctx.ambient, dict(zip(key + rest, sigma + tau)))
+        for sigma in (itertools.permutations(key) if inside else (key,))
+        for tau in itertools.permutations(rest)
+    ]

@@ -35,7 +35,6 @@ serialized form on purpose.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 import time
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from . import generate
+from . import fileio, generate
 from .errors import AxiomViolation, ZfunError
 from .kantorovich import (
     kantorovich,
@@ -67,6 +66,7 @@ from .measures import (
 )
 from .numbers import EXACT, Mode, format_number as _fmt
 from .scheme import (
+    _bijections,
     build_finite_fixture,
     check_fixture_sizes,
     decompose_automorphism,
@@ -76,8 +76,6 @@ from .scheme import (
     member_space,
     padded_map,
     padded_space,
-    pointwise_fixing_bijections,
-    subset_preserving_bijections,
 )
 from .spaces import (
     FiniteMetricSpace,
@@ -197,7 +195,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, ensure_ascii=False) + "\n"
+        return fileio.dump_json(self.as_dict(), None)
 
 
 # ---------------------------------------------------------------------------
@@ -682,12 +680,12 @@ def _fixture(cfg: RunConfig, h_seed: int | None = None):
 
 
 def _wide_pad(cfg: RunConfig) -> bool:
-    """Whether the fixture's pad, which has n - k points, has at least two."""
+    """Whether the fixture's pad, which has n - k points, has at least two.
+
+    A one-point pad has diameter 0, so ``glue_space`` rejects it; every check
+    that glues the pad runs only when this holds.
+    """
     return cfg.n - cfg.k >= 2
-
-
-def _padded_trials(cfg: RunConfig) -> int:
-    return _half_trials(cfg) if _wide_pad(cfg) else 0
 
 
 def _family_map(ctx, rng):
@@ -718,40 +716,41 @@ def _check_fixture_shape(rec, cfg, ctx):
             break
 
 
-@check("scheme", "scheme:restricts", ("extension-restricts", "(b)"), setup=_fixture)
-def _check_extension_restricts(rec, trial, rng, mode, ctx):
-    phi = _family_map(ctx, rng)
-    result = extend_map(ctx, phi)
+# the laws of the extension functor, shared with ``zfun extend --check-laws``
+
+
+def extension_restricts(rec, trial, phi, hat) -> None:
+    """Law (b): fail ``rec`` at the first point of ``phi``'s domain that the
+    ambient self-map ``hat`` sends elsewhere than ``phi`` does."""
     for x in phi.domain.points:
-        if result.extension(x) != phi(x):
-            rec.fail(trial, point=x, original=phi(x), extended=result.extension(x))
+        if hat(x) != phi(x):
+            rec.fail(trial, point=x, original=phi(x), extended=hat(x))
             break
 
 
-@check("scheme", "scheme:functor-laws", ("extension-functor-laws", "(a)"), setup=_fixture)
-def _check_extension_functor_laws(rec, trial, rng, mode, ctx):
-    k_sp, l_sp, m_sp = (member_space(ctx, rng.choice(ctx.family)) for _ in range(3))
-    phi = generate.random_map(rng, k_sp, l_sp)
-    psi = generate.random_map(rng, l_sp, m_sp)
+def extension_functor_laws(rec, trial, ctx, phi, psi) -> None:
+    """Law (a) on ``phi: K -> L`` and ``psi: L -> M``: the identity of K extends
+    to the ambient identity, and the extension of ``psi ∘ phi`` is the
+    composite of the two extensions."""
+    dom = phi.domain
     _functor_laws(
         rec, trial,
-        lambda: extend_map(ctx, identity_map(k_sp)).extension == identity_map(ctx.ambient),
+        lambda: extend_map(ctx, identity_map(dom)).extension == identity_map(ctx.ambient),
         lambda: extend_map(ctx, compose(psi, phi)).extension == compose(
             extend_map(ctx, psi).extension, extend_map(ctx, phi).extension
         ),
-        witnesses=({"member": list(k_sp.points)}, {"domain": list(k_sp.points)}),
+        witnesses=({"member": list(dom.points)}, {"domain": list(dom.points)}),
     )
 
 
-@check("scheme", "scheme:transfers",
-       ("extension-injectivity-transfer", "(c)"),
-       ("extension-image", "(d)"),
-       ("extension-surjectivity-transfer", "(e)"),
-       setup=_fixture)
-def _check_scheme_transfers(records, trial, rng, mode, ctx):
+def extension_transfers(records, trial, ctx, phi, hat) -> None:
+    """Laws (c), (d) and (e) on ``phi`` and its extension ``hat``, failing the
+    injectivity, image and surjectivity record of ``records`` in that order.
+
+    The image of ``hat`` is the image of ``phi`` plus every ambient point
+    outside ``phi``'s codomain, so its trace on the codomain is ``phi``'s image.
+    """
     inj, img, surj = records
-    phi = _family_map(ctx, rng)
-    hat = extend_map(ctx, phi).extension
     if is_injective(hat) != is_injective(phi):
         inj.fail(trial, original=is_injective(phi), extension=is_injective(hat))
     cod = set(phi.codomain.points)
@@ -763,6 +762,30 @@ def _check_scheme_transfers(records, trial, rng, mode, ctx):
         img.fail(trial, trace=sorted(hat_image & cod), expected=sorted(image(phi)))
     if is_surjective(hat) != is_surjective(phi):
         surj.fail(trial, original=is_surjective(phi), extension=is_surjective(hat))
+
+
+@check("scheme", "scheme:restricts", ("extension-restricts", "(b)"), setup=_fixture)
+def _check_extension_restricts(rec, trial, rng, mode, ctx):
+    phi = _family_map(ctx, rng)
+    extension_restricts(rec, trial, phi, extend_map(ctx, phi).extension)
+
+
+@check("scheme", "scheme:functor-laws", ("extension-functor-laws", "(a)"), setup=_fixture)
+def _check_extension_functor_laws(rec, trial, rng, mode, ctx):
+    k_sp, l_sp, m_sp = (member_space(ctx, rng.choice(ctx.family)) for _ in range(3))
+    phi = generate.random_map(rng, k_sp, l_sp)
+    psi = generate.random_map(rng, l_sp, m_sp)
+    extension_functor_laws(rec, trial, ctx, phi, psi)
+
+
+@check("scheme", "scheme:transfers",
+       ("extension-injectivity-transfer", "(c)"),
+       ("extension-image", "(d)"),
+       ("extension-surjectivity-transfer", "(e)"),
+       setup=_fixture)
+def _check_scheme_transfers(records, trial, rng, mode, ctx):
+    phi = _family_map(ctx, rng)
+    extension_transfers(records, trial, ctx, phi, extend_map(ctx, phi).extension)
 
 
 @check("scheme", "scheme:metric-extension", ("metric-extension", "(i)"),
@@ -807,7 +830,7 @@ def _check_extension_isometry(rec, trial, rng, mode, ctx):
        ("padded-naturality", "(Λ3)"),
        ("padded-embedding-isometry", "(Λ4)"),
        ("padded-sup-isometry", "(Λ5)"),
-       trials=_padded_trials, setup=_fixture)
+       trials=_half_trials, setup=_fixture, when=_wide_pad)
 def _check_padded_functor(records, trial, rng, mode, ctx):
     laws, natural, isom, supiso = records
     k_m, l_m, m_m = (rng.choice(ctx.family) for _ in range(3))
@@ -857,7 +880,7 @@ def _check_chart_independence(rec, cfg):
             rec.fail(h_seed, law="(b) under randomized charts")
             continue
         member = ctx.member(phi.codomain.points)
-        if len(ctx.pad.points) >= 2:
+        if _wide_pad(cfg):
             d = generate.random_space(rng, len(member), labels=member, mode=mode)
             extended = extend_metric(ctx, member, d)
             if any(
@@ -872,8 +895,8 @@ def _check_chart_independence(rec, cfg):
 def _check_decomposition(rec, cfg, ctx):
     member = ctx.family[0]
     member_sp = member_space(ctx, member)
-    bijections = subset_preserving_bijections(ctx, member)
-    fixing = pointwise_fixing_bijections(ctx, member)
+    bijections = _bijections(ctx, member, inside=True)
+    fixing = _bijections(ctx, member, inside=False)
     fixing_set = set(fixing)
     seen = set()
     for idx, h in enumerate(bijections):

@@ -39,16 +39,14 @@ from zfun import (
     measure_diameter_check,
     metric_map,
     phi_n_witness,
-    pointwise_fixing_bijections,
     prob_measure,
     pushforward,
     select_preimage,
-    subset_preserving_bijections,
     subspace,
     sup_distance,
     validate_space,
 )
-from zfun.scheme import build_finite_fixture, decompose_automorphism
+from zfun.scheme import _bijections, build_finite_fixture, decompose_automorphism
 from zfun.stepspace import compose_pushforward
 from zfun.generate import (
     random_map,
@@ -295,8 +293,8 @@ def test_criterion_7_decomposition_bijection_and_homomorphism():
     ctx = build_finite_fixture(4, 2, seed=0)
     for key in ctx.family:
         member = subspace(ctx.ambient, key)
-        preserving = subset_preserving_bijections(ctx, key)
-        fixing = pointwise_fixing_bijections(ctx, key)
+        preserving = _bijections(ctx, key, inside=True)
+        fixing = _bijections(ctx, key, inside=False)
         member_bijections = [
             g for g in all_maps(member, member) if is_bijective(g)
         ]

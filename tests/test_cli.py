@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, files, reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import zfun
-from zfun import cli, fileio
+from zfun import cli, fileio, identity_map, scheme
 from zfun.generate import random_measure, random_space, rng_for
 
 # The directory holding the zfun package under test. Child processes run in
@@ -440,6 +441,27 @@ class TestExtend:
             "surjectivity-transfer",
         ]
         assert payload["pass"] is True
+
+    def test_law_records_run_the_scheme_suite_code(self, tmp_path, monkeypatch, capsys):
+        # a wrong extension, the ambient identity, must fail (b) with the
+        # witness the scheme suite's extension_restricts writes
+        def wrong_extension(ctx, phi):
+            return dataclasses.replace(
+                scheme.extend_map(ctx, phi), extension=identity_map(ctx.ambient)
+            )
+
+        self.setup_files(tmp_path)
+        monkeypatch.setattr(cli, "extend_map", wrong_extension)
+        code = cli.main([
+            "extend", str(tmp_path / "phi.json"), "--n", "4", "--k", "2", "--check-laws",
+        ])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        failing = [r for r in payload["records"] if r["failures"]]
+        assert failing == [{
+            "name": "extension-restricts", "tag": "(b)", "instances": "2",
+            "failures": [{"instance": "0", "point": "x0", "original": "x3", "extended": "x0"}],
+        }]
 
     def test_fixture_file(self, tmp_path):
         self.setup_files(tmp_path)

@@ -32,12 +32,11 @@ from zfun import (
     padded_map,
     padded_points,
     padded_space,
-    pointwise_fixing_bijections,
-    subset_preserving_bijections,
     subspace,
     validate_space,
 )
 from zfun.generate import random_map, random_space, rng_for
+from zfun.scheme import _bijections
 
 from helpers import all_maps
 
@@ -262,10 +261,10 @@ class TestPadded:
 class TestDecomposition:
     def test_exhaustive_factorization_n4_k2(self, ctx42):
         key = ctx42.family[0]
-        preserving = subset_preserving_bijections(ctx42, key)
-        fixing = pointwise_fixing_bijections(ctx42, key)
+        preserving = _bijections(ctx42, key, inside=True)
+        fixing = _bijections(ctx42, key, inside=False)
         assert len(preserving) == 4  # 2! on the member times 2! outside
-        assert len(fixing) == 2
+        assert fixing == [h for h in preserving if all(h(x) == x for x in key)]
         member = subspace(ctx42.ambient, key)
         rebuilt = []
         for h in preserving:

@@ -45,6 +45,51 @@ class TestRunConfig:
         assert RunConfig(n=2, k=1).n == 2
 
 
+# (suite, config, sha256 of the report bytes)
+PINNED_REPORTS = [
+    pytest.param(
+        "all", RunConfig(mode=float_mode(), seed=42, trials=100),
+        "46405c368ec0f3a7871015981ed9b6bd0b8ef6e5c4a2dc8eeb25b13277836459",
+        id="float-seed-42",
+    ),
+    # at n = 8, k = 3 each member has a 5-point pad, so
+    # decomposition-factorization factors 720 bijections (4 at n = 4, k = 2)
+    pytest.param(
+        "all", RunConfig(seed=42, trials=100, n=8, k=3),
+        "cd5fed6d0d26638f02657d5c1d174880dfcab3095943a32ed364ba28c2b05b35",
+        id="n8-k3-seed-42",
+    ),
+    pytest.param(
+        "all", RunConfig(mode=float_mode(1e-3), seed=7, trials=12, n=7, k=2),
+        "d15dd20fdb2889adceb36d6b861d36e2fc274405e0b7f2142d24d35a1098054b",
+        id="float-1e-3-n7-k2",
+    ),
+    # a one-point pad cannot be glued, so the padded and metric-extension
+    # checks emit no records
+    pytest.param(
+        "all", RunConfig(seed=0, trials=12, n=2, k=1),
+        "a652c899729c30a4ec502b503cdc3cbc84a1017630f9e7c3e776be7b79794918",
+        id="n2-k1-seed-0",
+    ),
+    # fails by design, so this pins the failure witnesses
+    pytest.param(
+        "metric", RunConfig(seed=3, trials=30, inject_glue_defect=True),
+        "b14e6b7bef645d4768e7d6950aa4211d517d2e902044c4133fcc71a8774d7769",
+        id="glue-defect",
+    ),
+]
+
+_REPORTS = {}
+
+
+def _pinned_report(suite, cfg):
+    """The report of one pinned configuration, run once per session."""
+    key = (suite, repr(cfg))
+    if key not in _REPORTS:
+        _REPORTS[key] = run_suite(suite, cfg)
+    return _REPORTS[key]
+
+
 class TestRunSuite:
     def test_all_suites_pass(self):
         report = run_suite("all", small_cfg())
@@ -88,41 +133,24 @@ class TestRunSuite:
         report = run_suite("scheme", small_cfg(seed=3, trials=10, n=6, k=3))
         assert report.passed
 
-    @pytest.mark.parametrize("suite, cfg, expected", [
-        pytest.param(
-            "all", RunConfig(mode=float_mode(), seed=42, trials=100),
-            "46405c368ec0f3a7871015981ed9b6bd0b8ef6e5c4a2dc8eeb25b13277836459",
-            id="float-seed-42",
-        ),
-        # at n = 8, k = 3 each member has a 5-point pad, so
-        # decomposition-factorization factors 720 bijections (4 at n = 4, k = 2)
-        pytest.param(
-            "all", RunConfig(seed=42, trials=100, n=8, k=3),
-            "cd5fed6d0d26638f02657d5c1d174880dfcab3095943a32ed364ba28c2b05b35",
-            id="n8-k3-seed-42",
-        ),
-        pytest.param(
-            "all", RunConfig(mode=float_mode(1e-3), seed=7, trials=12, n=7, k=2),
-            "d15dd20fdb2889adceb36d6b861d36e2fc274405e0b7f2142d24d35a1098054b",
-            id="float-1e-3-n7-k2",
-        ),
-        # a one-point pad: the padded and metric-extension checks emit nothing
-        pytest.param(
-            "all", RunConfig(seed=0, trials=12, n=2, k=1),
-            "b4773a6c211ebb9f0ddfeff0a78a40b99272591b134b06c5cf1a93ce154477f3",
-            id="n2-k1-seed-0",
-        ),
-        # fails by design, so this pins the failure witnesses
-        pytest.param(
-            "metric", RunConfig(seed=3, trials=30, inject_glue_defect=True),
-            "b14e6b7bef645d4768e7d6950aa4211d517d2e902044c4133fcc71a8774d7769",
-            id="glue-defect",
-        ),
-    ])
+    @pytest.mark.parametrize("suite, cfg, expected", PINNED_REPORTS)
     def test_report_bytes_are_pinned(self, suite, cfg, expected):
-        report = run_suite(suite, cfg)
+        report = _pinned_report(suite, cfg)
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
         assert digest == expected
+
+    @pytest.mark.parametrize("suite, cfg, expected", PINNED_REPORTS)
+    def test_pinned_reports_have_no_vacuous_records(self, suite, cfg, expected):
+        assert all(r.instances >= 1 for r in _pinned_report(suite, cfg).records)
+
+    def test_a_one_point_pad_leaves_eight_scheme_records(self):
+        report = run_suite("scheme", RunConfig(seed=0, trials=12, n=2, k=1))
+        assert [r.name for r in report.records] == [
+            "fixture-shape", "extension-restricts", "extension-functor-laws",
+            "extension-injectivity-transfer", "extension-image",
+            "extension-surjectivity-transfer", "chart-independence",
+            "decomposition-factorization",
+        ]
 
 
 def _boom(*args, **kwargs):
