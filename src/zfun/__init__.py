@@ -60,9 +60,6 @@ from .scheme import (
     extend_metric,
     extension_isometry_check,
     member_space,
-    padded_map,
-    padded_points,
-    padded_space,
 )
 from .spaces import (
     ANCHOR_PREFIX,
@@ -72,7 +69,6 @@ from .spaces import (
     default_anchor,
     diameter,
     glue_map,
-    glue_metric,
     glue_space,
     identity_map,
     image,
@@ -95,7 +91,6 @@ from .stepspace import (
     phi_n_witness,
     refine,
     select_preimage,
-    step_diameter,
     step_function,
 )
 from .suites import Report, RunConfig, run_suite
@@ -118,16 +113,14 @@ __all__ = [
     "EXACT", "Mode", "float_mode", "format_number", "parse_number",
     "ContinuationContext", "ExtensionResult", "build_finite_fixture",
     "decompose_automorphism", "extend_map", "extend_metric",
-    "extension_isometry_check", "member_space", "padded_map",
-    "padded_points", "padded_space",
+    "extension_isometry_check", "member_space",
     "ANCHOR_PREFIX", "FiniteMetricSpace", "MetricMap", "compose",
-    "default_anchor", "diameter", "glue_map", "glue_metric", "glue_space",
+    "default_anchor", "diameter", "glue_map", "glue_space",
     "identity_map", "image", "invert", "is_bijective", "is_injective",
     "is_surjective", "metric_map", "metric_violations", "relabel_disjoint",
     "sup_distance", "subspace", "validate_space",
     "StepFunction", "compose_pushforward", "dirac_const", "integral_metric",
-    "phi_n_witness", "refine", "select_preimage", "step_diameter",
-    "step_function",
+    "phi_n_witness", "refine", "select_preimage", "step_function",
     "Report", "RunConfig", "run_suite",
     "__version__",
 ]

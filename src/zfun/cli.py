@@ -119,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixture JSON file: {\"n\", \"k\", \"seed\", \"h_seed\"?}")
     p.add_argument("--n", type=int, default=None, help="ambient size (alternative to --fixture)")
     p.add_argument("--k", type=int, default=None, help="subset size (alternative to --fixture)")
-    p.add_argument("--fixture-seed", type=int, default=None,
-                   help="fixture seed (defaults to the global seed)")
     p.add_argument("--check-laws", action="store_true",
                    help="also verify identity/composition laws and "
                         "injectivity/surjectivity/image transfer")
@@ -284,8 +282,7 @@ def _fixture_from_args(args, mode, seed):
                                     ambient=ambient, h_seed=h_seed)
     if args.n is None or args.k is None:
         raise FormatError("extend needs --fixture FILE or both --n and --k")
-    fixture_seed = args.fixture_seed if args.fixture_seed is not None else seed
-    return build_finite_fixture(args.n, args.k, fixture_seed, mode)
+    return build_finite_fixture(args.n, args.k, seed, mode)
 
 
 def _member_labels(raw):

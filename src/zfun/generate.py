@@ -17,6 +17,9 @@ from .spaces import FiniteMetricSpace, MetricMap, metric_map, validate_space
 from .measures import ProbMeasure, prob_measure
 from .stepspace import StepFunction, step_function
 
+_MAX_SEGMENTS = 6  # cells of a random step function, at most
+_GRID = 64  # its breakpoints lie on the 1/_GRID lattice
+
 
 def rng_for(seed: int, label: str) -> random.Random:
     """An independent, reproducible stream for ``(seed, label)``."""
@@ -91,12 +94,11 @@ def random_map(
     return metric_map(domain, codomain, assignment)
 
 
-def random_step_function(
-    rng: random.Random, target: FiniteMetricSpace, max_segments: int = 6, grid: int = 64
-) -> StepFunction:
-    """Random step function with breakpoints on the 1/grid lattice."""
-    cells = rng.randint(1, max_segments)
-    interior = sorted(rng.sample(range(1, grid), min(cells - 1, grid - 1)))
-    bps = [Fraction(0)] + [Fraction(k, grid) for k in interior] + [Fraction(1)]
+def random_step_function(rng: random.Random, target: FiniteMetricSpace) -> StepFunction:
+    """Random step function of 1 to ``_MAX_SEGMENTS`` cells, breakpoints on the
+    ``1/_GRID`` lattice."""
+    cells = rng.randint(1, _MAX_SEGMENTS)
+    interior = sorted(rng.sample(range(1, _GRID), cells - 1))
+    bps = [Fraction(0)] + [Fraction(k, _GRID) for k in interior] + [Fraction(1)]
     vals = [rng.choice(target.points) for _ in range(len(bps) - 1)]
     return step_function(target, bps, vals)

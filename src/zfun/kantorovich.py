@@ -252,6 +252,11 @@ def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPo
     asymmetry that holds only within the tolerance splits nothing, and no
     chain runs through a raised row, so neither drops a row that the kept
     ones do not imply.
+
+    The potential returned is the c-transform ``f'(x_i) = min_j f(x_j) + d(i, j)``
+    of the LP's ``f`` on the kernel numbers (McShane 1934; Villani 2009, ch. 5):
+    1-Lipschitz up to one sum's rounding, however far float pivots drifted.
+    On the exact lattice ``f`` is already 1-Lipschitz, so ``f' = f``.
     """
     space = _require_shared_space(mu, nu)
     pts = space.points
@@ -278,10 +283,9 @@ def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPo
     z, g = solve_inequality_lp(c, rows, rhs, eps)
     shift = sum((c[i - 1] * d[0][i] for i in range(1, n)), zero)
     value = unscale(z - shift, s * t)
-    values = {pts[0]: unscale(zero, s)}
-    for i in range(1, n):
-        values[pts[i]] = unscale(g[i - 1] - d[0][i], s)
-    certificate = lipschitz_potential(space, values)
+    f = [zero] + [g[i - 1] - d[0][i] for i in range(1, n)]
+    f = [min(map(add, f, row)) for row in d]  # the c-transform
+    certificate = lipschitz_potential(space, {p: unscale(v, s) for p, v in zip(pts, f)})
     return value, certificate
 
 

@@ -4,7 +4,9 @@ A :class:`ContinuationContext` fixes an ambient finite metric space, the family
 of all k-point subsets, a disjoint "pad" space (so each subset plus the pad has
 exactly as many points as the ambient space), and for each family member K a
 bijection ``H_K`` from K-plus-pad onto the ambient points that sends the copy
-of K onto K itself.
+of K onto K itself.  The pad is an anchor: K-plus-pad is
+``glue_space(member_space(ctx, K), ctx.pad)`` and a map between members acts
+on it as ``glue_map(f, ctx.pad)``, so it needs a pad of diameter exactly one.
 
 A map between family members then extends to a self-map of the ambient space:
 conjugate by the chosen bijections and act as the identity on the pad.  The
@@ -38,7 +40,6 @@ from .spaces import (
     FiniteMetricSpace,
     MetricMap,
     compose,
-    glue_map,
     glue_space,
     invert,
     is_bijective,
@@ -154,29 +155,6 @@ def build_finite_fixture(
 def member_space(ctx: ContinuationContext, member: Sequence[str]) -> FiniteMetricSpace:
     """The family member as a subspace of the ambient space."""
     return subspace(ctx.ambient, ctx.member(member))
-
-
-def padded_points(ctx: ContinuationContext, member: Sequence[str]) -> tuple[str, ...]:
-    """Point labels of the member-plus-pad space (member first, ambient order)."""
-    return ctx.member(member) + ctx.pad.points
-
-
-def padded_space(ctx: ContinuationContext, member: Sequence[str]) -> FiniteMetricSpace:
-    """Member-plus-pad as a metric space (cross distance ``max(diameter, 1)``).
-
-    Needs the pad to have diameter exactly one, which fails only for
-    single-point pads (``n - k == 1``).  The pad labels avoid the ambient
-    ones, so gluing keeps them.
-    """
-    return glue_space(member_space(ctx, member), ctx.pad)
-
-
-def padded_map(ctx: ContinuationContext, f: MetricMap) -> MetricMap:
-    """Action on maps: ``f`` on the member, identity on the pad."""
-    # both ends must be family members (NotInFamily otherwise)
-    ctx.member(f.domain.points)
-    ctx.member(f.codomain.points)
-    return glue_map(f, ctx.pad)
 
 
 # ---------------------------------------------------------------------------

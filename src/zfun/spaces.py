@@ -315,36 +315,27 @@ def _blocks(a, b, cross) -> tuple[tuple, ...]:
     return tuple(tuple(r) + (cross,) * m for r in a) + tuple((cross,) * n + tuple(r) for r in b)
 
 
-def glue_metric(
-    space: FiniteMetricSpace, anchor: FiniteMetricSpace | None = None
-) -> tuple[tuple[Num, ...], ...]:
-    """Distance matrix of the glued space: block-diagonal plus constant cross.
-
-    Point order is ``space.points`` followed by the (relabeled) anchor points;
-    every cross distance equals ``max(diameter(space), 1)``.
-    """
-    anchor = _anchor_for(space, anchor)
-    return _blocks(space.dist, anchor.dist, max(diameter(space), space.mode.one))
-
-
 def glue_space(
     space: FiniteMetricSpace, anchor: FiniteMetricSpace | None = None
 ) -> FiniteMetricSpace:
     """Adjoin a disjoint copy of the anchor; re-verified by the validator.
 
+    Point order is ``space.points`` followed by the (relabeled) anchor points;
+    the matrix is block-diagonal, every cross distance ``max(diameter(space), 1)``.
     Exact lattices at scales s and t glue at ``lcm(s, t)``, the cross at ``max(max d, s)``.
     """
-    matrix = glue_metric(space, anchor)
     anchor = _anchor_for(space, anchor)
+    mode = space.mode
     pts = space.points + relabel_disjoint(anchor.points, space.points)
-    if not space.mode.is_exact:
-        return validate_space(pts, matrix, space.mode)
+    matrix = _blocks(space.dist, anchor.dist, max(diameter(space), mode.one))
+    if not mode.is_exact:
+        return validate_space(pts, matrix, mode)
     (a, s), (b, t) = space.lattice, anchor.lattice
     scale = lcm(s, t)
     a = [[v * (scale // s) for v in row] for row in a]
     b = [[v * (scale // t) for v in row] for row in b]
     rows = _blocks(a, b, max(max(map(max, a)), scale))
-    return validate_space(pts, matrix, space.mode, lattice=(rows, scale))
+    return validate_space(pts, matrix, mode, lattice=(rows, scale))
 
 
 def glue_map(f: MetricMap, anchor: FiniteMetricSpace | None = None) -> MetricMap:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import BadN, BadParameters, TargetMismatch, UnknownPoint, ValueOutsideImage
 from .numbers import Num
-from .spaces import FiniteMetricSpace, MetricMap, diameter
+from .spaces import FiniteMetricSpace, MetricMap
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,3 @@ def select_preimage(f: MetricMap, v: StepFunction) -> StepFunction:
         pulled.append(first_preimage[val])
     return step_function(f.domain, v.breakpoints, pulled)
 
-
-def step_diameter(target: FiniteMetricSpace) -> Num:
-    """Diameter of the step-function space — equal to the target's diameter."""
-    return diameter(target)

@@ -74,8 +74,6 @@ from .scheme import (
     extend_metric,
     extension_isometry_check,
     member_space,
-    padded_map,
-    padded_space,
 )
 from .spaces import (
     FiniteMetricSpace,
@@ -382,11 +380,13 @@ def _random_anchor(rng, mode: Mode, trial: int) -> FiniteMetricSpace | None:
     return generate.normalize_diameter(raw)
 
 
-@check("metric", "metric:glue-blocks", ("glue-restriction-and-cross", "(Λ4)"),
-       setup=lambda cfg: cfg.inject_glue_defect)
-def _check_glue_blocks(rec, trial, rng, mode, inject_defect):
-    space = generate.random_space(rng, rng.randint(1, 5), mode=mode)
-    anchor = _random_anchor(rng, mode, trial)
+# the gluing laws on an anchor (None: the default one), also run on the pad
+
+
+def _glue_blocks(rec, trial, space, anchor, inject_defect=False) -> None:
+    """Fail ``rec`` at the first cell of ``space`` glued to ``anchor`` that is
+    off its block: the space, the anchor, or the cross ``max(diameter, 1)``."""
+    mode = space.mode
     glued = glue_space(space, anchor)
     anc = anchor if anchor is not None else default_anchor(mode)
     n, m = len(space.points), len(anc.points)
@@ -407,6 +407,49 @@ def _check_glue_blocks(rec, trial, rng, mode, inject_defect):
             break
 
 
+def _glue_functor_laws(rec, trial, f, g, anchor=None) -> None:
+    """Gluing sends identities to identities and ``g ∘ f`` to the composite."""
+    a = f.domain
+    _functor_laws(
+        rec, trial,
+        lambda: glue_map(identity_map(a), anchor) == identity_map(glue_space(a, anchor)),
+        lambda: glue_map(compose(g, f), anchor) == compose(
+            glue_map(g, anchor), glue_map(f, anchor)
+        ),
+        witnesses=({"space": list(a.points)}, {"domain": list(a.points)}),
+    )
+
+
+def _glue_naturality(rec, trial, f, anchor=None) -> None:
+    """The glued ``f`` is ``f`` on its domain and matches the anchor copies."""
+    gf = glue_map(f, anchor)
+    for p in f.domain.points:
+        if gf(p) != f(p):
+            rec.fail(trial, point=p, expected=f(p), actual=gf(p))
+            break
+    dom_extra = gf.domain.points[len(f.domain.points):]
+    cod_extra = gf.codomain.points[len(f.codomain.points):]
+    for x, y in zip(dom_extra, cod_extra):
+        if gf(x) != y:
+            rec.fail(trial, anchor_point=x, expected=y, actual=gf(x))
+            break
+
+
+def _glue_sup_isometry(rec, trial, f, g, anchor=None) -> None:
+    """Gluing keeps the sup distance of two maps with one domain and codomain."""
+    plain = sup_distance(f, g)
+    glued = sup_distance(glue_map(f, anchor), glue_map(g, anchor))
+    if not f.domain.mode.eq(plain, glued):
+        rec.fail(trial, plain=_fmt(plain), glued=_fmt(glued))
+
+
+@check("metric", "metric:glue-blocks", ("glue-restriction-and-cross", "(Λ4)"),
+       setup=lambda cfg: cfg.inject_glue_defect)
+def _check_glue_blocks(rec, trial, rng, mode, inject_defect):
+    space = generate.random_space(rng, rng.randint(1, 5), mode=mode)
+    _glue_blocks(rec, trial, space, _random_anchor(rng, mode, trial), inject_defect)
+
+
 @check("metric", "metric:glue-diameter", ("glue-diameter", "(i)"))
 def _check_glue_diameter(rec, trial, rng, mode):
     space = generate.random_space(rng, rng.randint(1, 6), mode=mode)
@@ -422,29 +465,13 @@ def _check_glue_functor_laws(rec, trial, rng, mode):
     a, b, c = _spaces(rng, mode, (1, 4), (1, 4), (1, 4))
     f = generate.random_map(rng, a, b)
     g = generate.random_map(rng, b, c)
-    _functor_laws(
-        rec, trial,
-        lambda: glue_map(identity_map(a)) == identity_map(glue_space(a)),
-        lambda: glue_map(compose(g, f)) == compose(glue_map(g), glue_map(f)),
-        witnesses=({"space": list(a.points)}, {"domain": list(a.points)}),
-    )
+    _glue_functor_laws(rec, trial, f, g)
 
 
 @check("metric", "metric:glue-naturality", ("glue-embedding-naturality", "(Λ3)"))
 def _check_glue_naturality(rec, trial, rng, mode):
     a, b = _spaces(rng, mode, (1, 5), (1, 5))
-    f = generate.random_map(rng, a, b)
-    gf = glue_map(f)
-    for p in a.points:
-        if gf(p) != f(p):
-            rec.fail(trial, point=p, expected=f(p), actual=gf(p))
-            break
-    dom_extra = gf.domain.points[len(a.points):]
-    cod_extra = gf.codomain.points[len(b.points):]
-    for x, y in zip(dom_extra, cod_extra):
-        if gf(x) != y:
-            rec.fail(trial, anchor_point=x, expected=y, actual=gf(x))
-            break
+    _glue_naturality(rec, trial, generate.random_map(rng, a, b))
 
 
 @check("metric", "metric:sup-axioms", ("sup-metric-axioms", "plumbing"))
@@ -461,10 +488,7 @@ def _check_glue_sup_isometry(rec, trial, rng, mode):
     a, b = _spaces(rng, mode, (1, 5), (2, 5))
     f = generate.random_map(rng, a, b)
     g = generate.random_map(rng, a, b)
-    plain = sup_distance(f, g)
-    glued = sup_distance(glue_map(f), glue_map(g))
-    if not mode.eq(plain, glued):
-        rec.fail(trial, plain=_fmt(plain), glued=_fmt(glued))
+    _glue_sup_isometry(rec, trial, f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -833,38 +857,14 @@ def _check_extension_isometry(rec, trial, rng, mode, ctx):
        trials=_half_trials, setup=_fixture, when=_wide_pad)
 def _check_padded_functor(records, trial, rng, mode, ctx):
     laws, natural, isom, supiso = records
-    k_m, l_m, m_m = (rng.choice(ctx.family) for _ in range(3))
-    k_sp, l_sp, m_sp = (member_space(ctx, m) for m in (k_m, l_m, m_m))
+    k_sp, l_sp, m_sp = (member_space(ctx, rng.choice(ctx.family)) for _ in range(3))
     phi = generate.random_map(rng, k_sp, l_sp)
     psi = generate.random_map(rng, l_sp, m_sp)
-    _functor_laws(
-        laws, trial,
-        lambda: padded_map(ctx, identity_map(k_sp)) == identity_map(padded_space(ctx, k_m)),
-        lambda: padded_map(ctx, compose(psi, phi)) == compose(
-            padded_map(ctx, psi), padded_map(ctx, phi)
-        ),
-    )
-    padded_phi = padded_map(ctx, phi)
-    if any(padded_phi(x) != phi(x) for x in k_sp.points) or any(
-        padded_phi(p) != p for p in ctx.pad.points
-    ):
-        natural.fail(trial, member=list(k_m))
-    padded_k = padded_space(ctx, k_m)
-    base = member_space(ctx, k_m)
-    bad = [
-        (x, y)
-        for x in base.points
-        for y in base.points
-        if not mode.eq(padded_k.distance(x, y), base.distance(x, y))
-    ]
-    if bad:
-        isom.fail(trial, pair=list(bad[0]))
     phi2 = generate.random_map(rng, k_sp, l_sp)
-    if not mode.eq(
-        sup_distance(phi, phi2),
-        sup_distance(padded_map(ctx, phi), padded_map(ctx, phi2)),
-    ):
-        supiso.fail(trial, member=list(k_m))
+    _glue_functor_laws(laws, trial, phi, psi, ctx.pad)
+    _glue_naturality(natural, trial, phi, ctx.pad)
+    _glue_blocks(isom, trial, k_sp, ctx.pad)
+    _glue_sup_isometry(supiso, trial, phi, phi2, ctx.pad)
 
 
 @check("scheme", None, ("chart-independence", "plumbing"), trials=None)

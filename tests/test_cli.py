@@ -16,6 +16,8 @@ import zfun
 from zfun import cli, fileio, identity_map, scheme
 from zfun.generate import random_measure, random_space, rng_for
 
+from helpers import million_draws
+
 # The directory holding the zfun package under test. Child processes run in
 # temp directories, where a relative PYTHONPATH such as ``src`` no longer
 # resolves, so this absolute path goes first on theirs.
@@ -246,6 +248,29 @@ class TestDist:
         out, err = capsys.readouterr()
         assert code == 0, err
         assert json.loads(out)["pass"] is True
+
+    def test_distances_scaled_by_a_million(self, tmp_path, capsys):
+        # at tolerance 1e-9 zfun validate accepts each listed space, so zfun
+        # dist must solve it, though pivot rounding leaves the LP's own
+        # potential more than the tolerance off 1-Lipschitz
+        flags = ["--mode", "float", "--tolerance", "1e-9"]
+        for draw, mu, nu in million_draws():
+            space = mu.space
+            dist = [[str(v * 10**6) for v in row] for row in space.dist]
+            (tmp_path / "s.json").write_text(
+                json.dumps({"points": list(space.points), "dist": dist})
+            )
+            for name, m in (("mu", mu), ("nu", nu)):
+                weights = {p: str(w) for p, w in m.weights}
+                (tmp_path / f"{name}.json").write_text(
+                    json.dumps({"space": "s.json", "weights": weights})
+                )
+            assert cli.main(["validate", str(tmp_path / "s.json"), *flags]) == 0, draw
+            capsys.readouterr()
+            code = cli.main(["dist", str(tmp_path / "mu.json"), str(tmp_path / "nu.json"), *flags])
+            out, err = capsys.readouterr()
+            assert code == 0, (draw, err)
+            assert json.loads(out)["pass"] is True
 
     @pytest.mark.parametrize("kind", ["plan", "potential"])
     def test_single_certificate(self, workdir, kind):
@@ -485,6 +510,17 @@ class TestExtend:
         v = payload["extends_restriction"]
         assert u["x0"] == "x0" and u["x1"] == "x1"
         assert v["x0"] == "x1" and v["x1"] == "x0"
+
+    def test_fixture_seed_is_an_unknown_flag(self, tmp_path, capsys):
+        # --seed, or a fixture file's "seed", picks the fixture
+        self.setup_files(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([
+                "extend", str(tmp_path / "phi.json"), "--n", "4", "--k", "2",
+                "--fixture-seed", "3",
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --fixture-seed 3" in capsys.readouterr().err
 
     def test_not_in_family_exits_two(self, tmp_path):
         (tmp_path / "bad.json").write_text(

@@ -22,6 +22,8 @@ from zfun import (
     extend_metric,
     extension_isometry_check,
     float_mode,
+    glue_map,
+    glue_space,
     identity_map,
     image,
     is_bijective,
@@ -29,9 +31,6 @@ from zfun import (
     is_surjective,
     member_space,
     metric_map,
-    padded_map,
-    padded_points,
-    padded_space,
     subspace,
     validate_space,
 )
@@ -222,10 +221,12 @@ class TestMetricExtension:
 
 
 class TestPadded:
+    """Member-plus-pad is the member glued to the pad as its anchor."""
+
     def test_padded_points_and_cross_distance(self, ctx42):
         key = ctx42.family[0]
-        assert padded_points(ctx42, key) == key + ctx42.pad.points
-        space = padded_space(ctx42, key)
+        space = glue_space(member_space(ctx42, key), ctx42.pad)
+        assert space.points == key + ctx42.pad.points
         member = subspace(ctx42.ambient, key)
         cross = max(diameter(member), Fraction(1))
         for x in key:
@@ -237,7 +238,7 @@ class TestPadded:
         cod = member_space(ctx42, ctx42.family[1])
         rng = rng_for(97, "padded-map")
         f = random_map(rng, dom, cod)
-        padded = padded_map(ctx42, f)
+        padded = glue_map(f, ctx42.pad)
         for x in dom.points:
             assert padded(x) == f(x)
         for w in ctx42.pad.points:
@@ -250,11 +251,11 @@ class TestPadded:
         for _ in range(10):
             f = random_map(rng, s1, s2)
             g = random_map(rng, s2, s3)
-            assert padded_map(ctx42, identity_map(s1)) == identity_map(
-                padded_space(ctx42, k1)
+            assert glue_map(identity_map(s1), ctx42.pad) == identity_map(
+                glue_space(member_space(ctx42, k1), ctx42.pad)
             )
-            assert padded_map(ctx42, compose(g, f)) == compose(
-                padded_map(ctx42, g), padded_map(ctx42, f)
+            assert glue_map(compose(g, f), ctx42.pad) == compose(
+                glue_map(g, ctx42.pad), glue_map(f, ctx42.pad)
             )
 
 
@@ -388,7 +389,7 @@ class TestFloatTolerance:
     def test_padding_and_metric_extension_keep_the_tolerance(self):
         ctx = build_finite_fixture(4, 2, seed=0, mode=self.MODE, ambient=self.ambient())
         member = ("x0", "x1")
-        padded = padded_space(ctx, member)
+        padded = glue_space(member_space(ctx, member), ctx.pad)
         assert padded.mode == self.MODE
         assert padded.distance("x1", "x0") == 1.0005
         d = validate_space(member, [[0.0, 2.0], [2.0005, 0.0]], self.MODE)

@@ -24,7 +24,6 @@ from zfun import (
     extend_metric,
     float_mode,
     glue_map,
-    glue_metric,
     glue_space,
     identity_map,
     image,
@@ -319,7 +318,7 @@ class TestModes:
         with pytest.raises(SpaceMismatch):
             glue_space(space_ab(), default_anchor(float_mode()))
         with pytest.raises(SpaceMismatch):
-            glue_metric(self.float_ab(), default_anchor())
+            glue_space(self.float_ab(), default_anchor())
 
 
 class TestMetricMap:
@@ -439,9 +438,9 @@ class TestGlue:
             glued = glue_space(space)
             assert diameter(glued) == max(diameter(space), 1)
 
-    def test_glue_metric_matrix_blocks(self):
+    def test_glue_space_matrix_blocks(self):
         space = space_ab()
-        matrix = glue_metric(space)
+        matrix = glue_space(space).dist
         assert matrix[0][2] == matrix[2][0] == Fraction(3, 2)
         assert matrix[2][3] == 1
 

@@ -20,7 +20,6 @@ from zfun import (
     phi_n_witness,
     refine,
     select_preimage,
-    step_diameter,
     step_function,
     sup_distance,
 )
@@ -131,7 +130,7 @@ class TestRefineAndMetric:
 
     def test_diameter_attained_by_constants(self):
         space = space_abc()
-        assert step_diameter(space) == diameter(space) == Fraction(3, 2)
+        assert diameter(space) == Fraction(3, 2)
         rng = rng_for(67, "step-diameter")
         for _ in range(40):
             f = random_step_function(rng, space)

@@ -24,7 +24,7 @@ from zfun.suites import (
     CheckRecord,
     shrink_matrix_violation,
 )
-from zfun.spaces import metric_map
+from zfun.spaces import glue_map, metric_map
 
 
 def small_cfg(**kw) -> RunConfig:
@@ -169,7 +169,7 @@ class TestCrashIsolation:
         assert failing[0].instances == 1
 
     def test_every_record_of_a_shared_stream_gets_the_witness(self, monkeypatch):
-        monkeypatch.setattr(suites, "padded_map", _boom)
+        monkeypatch.setattr(suites, "glue_map", _boom)
         report = run_suite("scheme", small_cfg())
         failing = [record.name for record in report.records if not record.passed]
         assert failing == [
@@ -290,7 +290,7 @@ class TestFunctorLaws:
         ("metric", "glue-functor-laws", "compose", "composition", "domain"),
         ("scheme", "extension-functor-laws", "identity_map", "identity", "member"),
         ("scheme", "extension-functor-laws", "compose", "composition", "domain"),
-        ("scheme", "padded-functor-laws", "identity_map", "identity", None),
+        ("scheme", "padded-functor-laws", "identity_map", "identity", "space"),
         ("step", "pushforward-functor-laws", "compose", "composition", None),
     ])
     def test_witness_keys_of_the_real_checks(self, monkeypatch, suite, name,
@@ -306,6 +306,31 @@ class TestFunctorLaws:
             expected = ["instance", "law"] + ([keys] if keys else [])
             assert list(failure) == expected
             assert failure["law"] == law
+
+
+class TestPaddedChecksAreGlueChecks:
+    """The scheme suite's padded records run the metric suite's gluing laws
+    with the fixture's pad as the anchor."""
+
+    @staticmethod
+    def anchors_to_last(f, anchor=None):
+        """``glue_map`` that sends every anchor point to the last codomain point."""
+        glued = glue_map(f, anchor)
+        n, last = len(f.domain.points), glued.codomain.points[-1]
+        table = {p: glued(p) if i < n else last for i, p in enumerate(glued.domain.points)}
+        return metric_map(glued.domain, glued.codomain, table)
+
+    def test_one_broken_glue_map_fails_both_alike(self, monkeypatch):
+        monkeypatch.setattr(suites, "glue_map", self.anchors_to_last)
+        report = run_suite("all", small_cfg(trials=10))
+        keys = {r.name: {tuple(f) for f in r.failures} for r in report.records}
+        for glue, padded in [("metric/glue-functor-laws", "scheme/padded-functor-laws"),
+                             ("metric/glue-embedding-naturality", "scheme/padded-naturality")]:
+            assert keys[glue] and keys[glue] == keys[padded], (glue, keys[glue], keys[padded])
+        assert keys["metric/glue-functor-laws"] == {("instance", "law", "space")}
+        assert keys["metric/glue-embedding-naturality"] == {
+            ("instance", "anchor_point", "expected", "actual")
+        }
 
 
 class TestMetricAxioms:
