@@ -32,8 +32,6 @@ from .kantorovich import (
     kantorovich_dual,
     kantorovich_primal,
     lipschitz_potential,
-    map_isometry_check,
-    measure_diameter_check,
     potential_gap,
     transport_plan,
 )
@@ -105,8 +103,7 @@ __all__ = [
     "ZfunError",
     "LipschitzPotential", "TransportPlan", "duality_gap", "kantorovich",
     "kantorovich_dual", "kantorovich_primal", "lipschitz_potential",
-    "map_isometry_check", "measure_diameter_check", "potential_gap",
-    "transport_plan",
+    "potential_gap", "transport_plan",
     "ProbMeasure", "change_of_variables_check", "convex_combination",
     "dirac", "image_weight", "in_image", "integrate", "measures_equal",
     "preimage_measure", "prob_measure", "pushforward",

@@ -1,13 +1,15 @@
 """Command-line interface: ``zfun <subcommand>``.
 
 Exit codes: 0 when the requested checks pass, 1 when a check fails, 2 for
-usage, file or contract errors.  JSON results go to --output (or stdout);
-human-readable summaries and timings go to stderr.
+usage, file or contract errors.  JSON results, and the summary of
+``zfun report``, go to --output (or stdout); the other human-readable
+summaries and timings go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -73,7 +75,7 @@ def _shared_flags() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "-o", "--output", metavar="PATH", default=None,
-        help="write the JSON result here instead of stdout",
+        help="write the result here instead of stdout",
     )
     return common
 
@@ -383,10 +385,12 @@ def cmd_report(args) -> int:
         isinstance(r, dict) and isinstance(r.get("failures", []), list) for r in records
     ):
         raise FormatError("a report's 'records' must be a list of objects")
-    stream = sys.stdout if args.output is None else sys.stderr
-    print(f"command: {obj.get('command', '?')}", file=stream)
-    _print_records(obj, stream)
-    print("PASS" if obj["pass"] else "FAIL", file=stream)
+    target = contextlib.nullcontext(sys.stdout) if args.output is None else open(
+        args.output, "w", encoding="utf-8")
+    with target as stream:
+        print(f"command: {obj.get('command', '?')}", file=stream)
+        _print_records(obj, stream)
+        print("PASS" if obj["pass"] else "FAIL", file=stream)
     return 0 if obj["pass"] else 1
 
 

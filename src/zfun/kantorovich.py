@@ -43,10 +43,10 @@ from .errors import (
     SolverFailure,
     SpaceMismatch,
 )
-from .measures import ProbMeasure, dirac, integrate, pushforward
+from .measures import ProbMeasure, integrate
 from .numbers import Num, scaled
 from .simplexlp import MAX_PIVOTS, solve_inequality_lp
-from .spaces import FiniteMetricSpace, MetricMap, diameter, sup_distance
+from .spaces import FiniteMetricSpace
 
 
 @dataclass(frozen=True)
@@ -475,7 +475,7 @@ def kantorovich_primal(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, Transport
 
 
 # ---------------------------------------------------------------------------
-# the metric itself and its derived checks
+# the metric itself
 
 
 def kantorovich(mu: ProbMeasure, nu: ProbMeasure) -> Num:
@@ -489,46 +489,3 @@ def duality_gap(mu: ProbMeasure, nu: ProbMeasure) -> Num:
     primal, _ = kantorovich_primal(mu, nu)
     dual, _ = kantorovich_dual(mu, nu)
     return primal - dual
-
-
-def measure_diameter_check(space: FiniteMetricSpace) -> tuple[Num, Num]:
-    """(largest Kantorovich distance over Dirac pairs, space diameter).
-
-    The two numbers agree: measures can never be farther apart than the
-    farthest pair of points.
-    """
-    pts = space.points
-    best = space.mode.zero
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            value = kantorovich(dirac(space, pts[i]), dirac(space, pts[j]))
-            if value > best:
-                best = value
-    return best, diameter(space)
-
-
-def map_isometry_check(
-    phi: MetricMap, psi: MetricMap, sampled: Sequence[ProbMeasure] = ()
-) -> tuple[Num, Num]:
-    """(largest Kantorovich distance of pushed Dirac pairs, sup distance).
-
-    The two agree, and every sampled measure must satisfy the same bound —
-    a violation would be a library bug and raises :class:`SolverFailure`.
-    """
-    if phi.domain != psi.domain or phi.codomain != psi.codomain:
-        raise SpaceMismatch("maps must share domain and codomain")
-    mode = phi.domain.mode
-    best = mode.zero
-    for p in phi.domain.points:
-        delta = dirac(phi.domain, p)
-        value = kantorovich(pushforward(phi, delta), pushforward(psi, delta))
-        if value > best:
-            best = value
-    bound = sup_distance(phi, psi)
-    for mu in sampled:
-        value = kantorovich(pushforward(phi, mu), pushforward(psi, mu))
-        if not mode.leq(value, bound):
-            raise SolverFailure(
-                f"sampled measure beats the sup-distance bound: {value} > {bound}"
-            )
-    return best, bound

@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,8 +50,6 @@ from .kantorovich import (
     kantorovich_dual,
     kantorovich_primal,
     lipschitz_potential,
-    map_isometry_check,
-    measure_diameter_check,
     potential_gap,
     transport_plan,
 )
@@ -291,7 +290,8 @@ def check(suite, stream, *records, trials=_every_trial, setup=None, when=_always
     check.  A check whose ``when(cfg)`` is false emits no records.  New
     checks draw their spaces with :func:`_spaces` and test the functor laws
     and the metric axioms with :func:`_functor_laws` and
-    :func:`_metric_axioms`.
+    :func:`_metric_axioms`; a new metric functor runs the six laws that
+    measures and step functions share.
     """
 
     def register(body):
@@ -492,6 +492,95 @@ def _check_glue_sup_isometry(rec, trial, rng, mode):
 
 
 # ---------------------------------------------------------------------------
+# the laws of a metric functor, run on measures and on step functions
+#
+# A functor takes its operations as arguments: ``draw(rng, space)`` draws an
+# element over ``space``, ``unit(space, p)`` is the element at ``p``,
+# ``push(f, x)`` carries ``x`` along a map, ``dist`` is the metric and
+# ``same`` the equality.  Check bodies pass module globals, looked up when
+# the check runs, so a function patched into this module (by a test or a
+# tracer) is the one called.
+
+
+def _functor_axioms(rec, trial, rng, mode, draw, dist) -> None:
+    """The metric axioms of ``dist`` on three elements over a 2–5 point space."""
+    space = generate.random_space(rng, rng.randint(2, 5), mode=mode)
+    x, y, z = (draw(rng, space) for _ in range(3))
+    _metric_axioms(rec, trial, mode, dist, x, y, z, positivity=mode.is_exact)
+
+
+def _unit_isometry(rec, trial, rng, mode, unit, dist) -> None:
+    """(Λ4) The units of two points of a 2–6 point space are as far apart as
+    the points."""
+    space = generate.random_space(rng, rng.randint(2, 6), mode=mode)
+    p, q = rng.sample(space.points, 2)
+    value = dist(unit(space, p), unit(space, q))
+    if not mode.eq(value, space.distance(p, q)):
+        rec.fail(trial, pair=[p, q], value=_fmt(value),
+                 distance=_fmt(space.distance(p, q)))
+
+
+def _push_functor_laws(rec, trial, rng, mode, draw, push, same) -> None:
+    """(Λ1) ``push`` sends identities to identities and ``g ∘ f`` to the composite."""
+    a, b, c = _spaces(rng, mode, (1, 4), (1, 4), (1, 4))
+    f = generate.random_map(rng, a, b)
+    g = generate.random_map(rng, b, c)
+    x = draw(rng, a)
+    _functor_laws(
+        rec, trial,
+        lambda: same(push(identity_map(a), x), x),
+        lambda: same(push(compose(g, f), x), push(g, push(f, x))),
+    )
+
+
+def _unit_naturality(rec, trial, rng, mode, unit, push, same, every_point) -> None:
+    """(Λ3) ``push(f, unit(p))`` is ``unit(f(p))``, at every point of the
+    domain or at one drawn point."""
+    a, b = _spaces(rng, mode, (1, 5), (1, 5))
+    f = generate.random_map(rng, a, b)
+    for p in a.points if every_point else [rng.choice(a.points)]:
+        if not same(push(f, unit(a, p)), unit(b, f(p))):
+            rec.fail(trial, point=p)
+            break
+
+
+def _diameter_law(rec, trial, rng, mode, draw, unit, dist) -> None:
+    """(i) Over a 2–5 point space, two units attain the diameter, and two
+    drawn elements are no farther apart."""
+    space = generate.random_space(rng, rng.randint(2, 5), mode=mode)
+    diam = diameter(space)
+    x, y = draw(rng, space), draw(rng, space)
+    attained = max(dist(unit(space, p), unit(space, q))
+                   for p, q in itertools.combinations(space.points, 2))
+    if not mode.eq(attained, diam):
+        rec.fail(trial, attained=_fmt(attained), diameter=_fmt(diam))
+        return
+    value = dist(x, y)
+    if not mode.leq(value, diam):
+        rec.fail(trial, sampled=_fmt(value), diameter=_fmt(diam))
+
+
+def _sup_bound(rec, trial, rng, mode, draw, unit, push, dist, samples=1,
+               attain=True) -> None:
+    """(h) Two maps push each of ``samples`` drawn elements no farther apart
+    than their sup distance; (Λ5) with ``attain``, the units attain it."""
+    a, b = _spaces(rng, mode, (1, 4), (2, 4))
+    phi = generate.random_map(rng, a, b)
+    psi = generate.random_map(rng, a, b)
+    bound = sup_distance(phi, psi)
+    for x in [draw(rng, a) for _ in range(samples)]:
+        value = dist(push(phi, x), push(psi, x))
+        if not mode.leq(value, bound):
+            rec.fail(trial, pushed=_fmt(value), bound=_fmt(bound))
+            return
+    if attain:
+        attained = max(dist(push(phi, unit(a, p)), push(psi, unit(a, p)))
+                       for p in a.points)
+        if not mode.eq(attained, bound):
+            rec.fail(trial, attained=_fmt(attained), bound=_fmt(bound))
+
+
+# ---------------------------------------------------------------------------
 # measure suite
 
 
@@ -510,26 +599,14 @@ def _check_mass_conservation(rec, trial, rng, mode):
 
 @check("measure", "measure:functor-laws", ("pushforward-functor-laws", "(Λ1)"))
 def _check_push_functor_laws(rec, trial, rng, mode):
-    a, b, c = _spaces(rng, mode, (1, 4), (1, 4), (1, 4))
-    f = generate.random_map(rng, a, b)
-    g = generate.random_map(rng, b, c)
-    mu = generate.random_measure(rng, a)
-    _functor_laws(
-        rec, trial,
-        lambda: measures_equal(pushforward(identity_map(a), mu), mu),
-        lambda: measures_equal(pushforward(compose(g, f), mu),
-                               pushforward(g, pushforward(f, mu))),
-    )
+    _push_functor_laws(rec, trial, rng, mode, generate.random_measure, pushforward,
+                       measures_equal)
 
 
 @check("measure", "measure:dirac-naturality", ("dirac-naturality", "(Λ3)"))
 def _check_dirac_naturality(rec, trial, rng, mode):
-    a, b = _spaces(rng, mode, (1, 5), (1, 5))
-    f = generate.random_map(rng, a, b)
-    for p in a.points:
-        if not measures_equal(pushforward(f, dirac(a, p)), dirac(b, f(p))):
-            rec.fail(trial, point=p)
-            break
+    _unit_naturality(rec, trial, rng, mode, dirac, pushforward, measures_equal,
+                     every_point=True)
 
 
 @check("measure", "measure:affinity", ("pushforward-affinity", "plumbing"))
@@ -618,49 +695,26 @@ def _check_duality_gap(rec, trial, rng, mode):
 
 @check("kantorovich", "kantorovich:dirac-isometry", ("dirac-isometry", "(Λ4)"))
 def _check_dirac_isometry(rec, trial, rng, mode):
-    space = generate.random_space(rng, rng.randint(2, 6), mode=mode)
-    p, q = rng.sample(space.points, 2)
-    value = kantorovich(dirac(space, p), dirac(space, q))
-    if not mode.eq(value, space.distance(p, q)):
-        rec.fail(trial, pair=[p, q], kantorovich=_fmt(value),
-                 distance=_fmt(space.distance(p, q)))
+    _unit_isometry(rec, trial, rng, mode, dirac, kantorovich)
 
 
 @check("kantorovich", "kantorovich:diameter", ("diameter-preservation", "(i)"),
        trials=_half_trials)
 def _check_diameter_preservation(rec, trial, rng, mode):
-    space = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-    dirac_max, diam = measure_diameter_check(space)
-    if not mode.eq(dirac_max, diam):
-        rec.fail(trial, dirac_max=_fmt(dirac_max), diameter=_fmt(diam))
-        return
-    mu = generate.random_measure(rng, space)
-    nu = generate.random_measure(rng, space)
-    value = kantorovich(mu, nu)
-    if not mode.leq(value, diam):
-        rec.fail(trial, sampled=_fmt(value), diameter=_fmt(diam))
+    _diameter_law(rec, trial, rng, mode, generate.random_measure, dirac, kantorovich)
 
 
 @check("kantorovich", "kantorovich:map-isometry", ("map-pushforward-isometry", "(Λ5)"),
        trials=_half_trials)
 def _check_map_isometry(rec, trial, rng, mode):
-    a, b = _spaces(rng, mode, (1, 4), (2, 4))
-    phi = generate.random_map(rng, a, b)
-    psi = generate.random_map(rng, a, b)
-    sampled = [generate.random_measure(rng, a) for _ in range(2)]
-    dirac_max, bound = map_isometry_check(phi, psi, sampled)
-    if not mode.eq(dirac_max, bound):
-        rec.fail(trial, dirac_max=_fmt(dirac_max), sup_distance=_fmt(bound))
+    _sup_bound(rec, trial, rng, mode, generate.random_measure, dirac, pushforward,
+               kantorovich, samples=2)
 
 
 @check("kantorovich", "kantorovich:axioms", ("kantorovich-metric-axioms", "plumbing"),
        trials=_half_trials)
 def _check_kantorovich_axioms(rec, trial, rng, mode):
-    space = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-    mu = generate.random_measure(rng, space)
-    nu = generate.random_measure(rng, space)
-    lam = generate.random_measure(rng, space)
-    _metric_axioms(rec, trial, mode, kantorovich, mu, nu, lam, positivity=mode.is_exact)
+    _functor_axioms(rec, trial, rng, mode, generate.random_measure, kantorovich)
 
 
 @check("kantorovich", "kantorovich:certificates", ("certificate-feasibility", "plumbing"),
@@ -685,14 +739,8 @@ def _check_certificates(rec, trial, rng, mode):
 @check("kantorovich", "kantorovich:convergence", ("pointwise-convergence-bound", "(h)"),
        trials=_half_trials)
 def _check_convergence_bound(rec, trial, rng, mode):
-    a, b = _spaces(rng, mode, (1, 4), (2, 4))
-    phi = generate.random_map(rng, a, b)
-    psi = generate.random_map(rng, a, b)
-    bound = sup_distance(phi, psi)
-    mu = generate.random_measure(rng, a)
-    value = kantorovich(pushforward(phi, mu), pushforward(psi, mu))
-    if not mode.leq(value, bound):
-        rec.fail(trial, pushed=_fmt(value), bound=_fmt(bound))
+    _sup_bound(rec, trial, rng, mode, generate.random_measure, dirac, pushforward,
+               kantorovich, attain=False)
 
 
 # ---------------------------------------------------------------------------
@@ -942,67 +990,30 @@ def _check_decomposition(rec, cfg, ctx):
 
 @check("step", "step:axioms", ("integral-metric-axioms", "plumbing"))
 def _check_integral_axioms(rec, trial, rng, mode):
-    target = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-    f = generate.random_step_function(rng, target)
-    g = generate.random_step_function(rng, target)
-    h = generate.random_step_function(rng, target)
-    _metric_axioms(rec, trial, mode, integral_metric, f, g, h, positivity=mode.is_exact)
+    _functor_axioms(rec, trial, rng, mode, generate.random_step_function, integral_metric)
 
 
 @check("step", "step:constants", ("constant-embedding-isometry", "(Λ4)"))
 def _check_constant_isometry(rec, trial, rng, mode):
-    target = generate.random_space(rng, rng.randint(2, 6), mode=mode)
-    p, q = rng.sample(target.points, 2)
-    value = integral_metric(dirac_const(target, p), dirac_const(target, q))
-    if not mode.eq(value, target.distance(p, q)):
-        rec.fail(trial, pair=[p, q], integral=_fmt(value),
-                 distance=_fmt(target.distance(p, q)))
+    _unit_isometry(rec, trial, rng, mode, dirac_const, integral_metric)
 
 
 @check("step", "step:functor-laws", ("pushforward-functor-laws", "(Λ1)"))
 def _check_step_functor_laws(rec, trial, rng, mode):
-    a, b, c = _spaces(rng, mode, (1, 4), (1, 4), (1, 4))
-    f = generate.random_map(rng, a, b)
-    g = generate.random_map(rng, b, c)
-    u = generate.random_step_function(rng, a)
-    _functor_laws(
-        rec, trial,
-        lambda: compose_pushforward(identity_map(a), u) == u,
-        lambda: compose_pushforward(compose(g, f), u)
-        == compose_pushforward(g, compose_pushforward(f, u)),
-    )
+    _push_functor_laws(rec, trial, rng, mode, generate.random_step_function,
+                       compose_pushforward, operator.eq)
 
 
 @check("step", "step:naturality", ("pushforward-naturality", "(Λ3)"))
 def _check_step_naturality(rec, trial, rng, mode):
-    a, b = _spaces(rng, mode, (1, 5), (1, 5))
-    f = generate.random_map(rng, a, b)
-    x = rng.choice(a.points)
-    lhs = compose_pushforward(f, dirac_const(a, x))
-    if lhs != dirac_const(b, f(x)):
-        rec.fail(trial, point=x)
+    _unit_naturality(rec, trial, rng, mode, dirac_const, compose_pushforward, operator.eq,
+                     every_point=False)
 
 
 @check("step", "step:sup-bound", ("pushforward-sup-bound", "(Λ5)"))
 def _check_step_sup_bound(rec, trial, rng, mode):
-    a, b = _spaces(rng, mode, (1, 4), (2, 4))
-    phi = generate.random_map(rng, a, b)
-    psi = generate.random_map(rng, a, b)
-    bound = sup_distance(phi, psi)
-    u = generate.random_step_function(rng, a)
-    value = integral_metric(compose_pushforward(phi, u), compose_pushforward(psi, u))
-    if not mode.leq(value, bound):
-        rec.fail(trial, pushed=_fmt(value), bound=_fmt(bound))
-        return
-    attained = max(
-        integral_metric(
-            compose_pushforward(phi, dirac_const(a, x)),
-            compose_pushforward(psi, dirac_const(a, x)),
-        )
-        for x in a.points
-    )
-    if not mode.eq(attained, bound):
-        rec.fail(trial, constants_attain=_fmt(attained), bound=_fmt(bound))
+    _sup_bound(rec, trial, rng, mode, generate.random_step_function, dirac_const,
+               compose_pushforward, integral_metric)
 
 
 @check("step", "step:head-witness", ("head-witness", "(g)"))
@@ -1051,21 +1062,8 @@ def _check_selection_round_trip(rec, trial, rng, mode):
 
 @check("step", "step:diameter", ("step-diameter", "(i)"))
 def _check_step_diameter(rec, trial, rng, mode):
-    target = generate.random_space(rng, rng.randint(2, 5), mode=mode)
-    diam = diameter(target)
-    f = generate.random_step_function(rng, target)
-    g = generate.random_step_function(rng, target)
-    if not mode.leq(integral_metric(f, g), diam):
-        rec.fail(trial, distance=_fmt(integral_metric(f, g)),
-                 diameter=_fmt(diam))
-        return
-    attained = max(
-        integral_metric(dirac_const(target, p), dirac_const(target, q))
-        for p in target.points
-        for q in target.points
-    )
-    if not mode.eq(attained, diam):
-        rec.fail(trial, attained=_fmt(attained), diameter=_fmt(diam))
+    _diameter_law(rec, trial, rng, mode, generate.random_step_function, dirac_const,
+                  integral_metric)
 
 
 # ---------------------------------------------------------------------------

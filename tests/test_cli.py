@@ -272,6 +272,27 @@ class TestDist:
             assert code == 0, (draw, err)
             assert json.loads(out)["pass"] is True
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="one ulp of the diameter, 3.7e-9, exceeds the tolerance, so "
+                              "the float dual's potential fails its Lipschitz check")
+    def test_a_diameter_whose_ulp_exceeds_the_tolerance(self, tmp_path, capsys):
+        # draw 185 of rng_for(11, "coarse-oracle"), distances times 10^6:
+        # x0-x1 = x0-x2 + x2-x1, a triangle that holds with equality
+        far, mid, near = "22166666.666666668", "18000000.0", "4166666.6666666665"
+        dist = [["0", far, mid], [far, "0", near], [mid, near, "0"]]
+        (tmp_path / "s.json").write_text(json.dumps({"points": ["x0", "x1", "x2"], "dist": dist}))
+        for name, weights in (("mu", ("3/19", "9/19", "7/19")), ("nu", ("4/19", "8/19", "7/19"))):
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {"space": "s.json", "weights": dict(zip(["x0", "x1", "x2"], weights))}
+            ))
+        flags = ["--mode", "float", "--tolerance", "1e-9"]
+        assert cli.main(["validate", str(tmp_path / "s.json"), *flags]) == 0
+        capsys.readouterr()
+        code = cli.main(["dist", str(tmp_path / "mu.json"), str(tmp_path / "nu.json"), *flags])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert json.loads(out)["pass"] is True
+
     @pytest.mark.parametrize("kind", ["plan", "potential"])
     def test_single_certificate(self, workdir, kind):
         proc = run_cli(
@@ -655,6 +676,21 @@ class TestReport:
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
         assert "check step" in proc.stdout
+
+    @pytest.mark.parametrize("check, code, verdict", [
+        (("step",), 0, "PASS"),
+        (("metric", "--inject-glue-defect"), 1, "FAIL"),
+    ], ids=["passing", "failing"])
+    def test_output_flag_writes_the_summary_there(self, tmp_path, check, code, verdict):
+        run_cli("check", *check, "--trials", "5", "-o", "saved.json", cwd=tmp_path)
+        shown = run_cli("report", "saved.json", cwd=tmp_path)
+        proc = run_cli("report", "saved.json", "-o", "out.txt", cwd=tmp_path)
+        assert proc.returncode == shown.returncode == code
+        assert proc.stdout == proc.stderr == ""
+        summary = (tmp_path / "out.txt").read_text(encoding="utf-8")
+        assert summary == shown.stdout
+        assert summary.startswith(f"command: check {check[0]}\n")
+        assert summary.endswith(f"{verdict}\n")
 
     def test_failing_report_exits_one(self, tmp_path):
         run_cli(

@@ -26,8 +26,6 @@ from zfun import (
     kantorovich_dual,
     kantorovich_primal,
     lipschitz_potential,
-    map_isometry_check,
-    measure_diameter_check,
     metric_map,
     potential_gap,
     prob_measure,
@@ -830,25 +828,6 @@ class TestMetricAxioms:
 
 
 class TestDerivedChecks:
-    def test_measure_diameter_check(self):
-        best, diam = measure_diameter_check(space_abc())
-        assert best == diam == Fraction(3, 2)
-
-    def test_map_isometry_check(self):
-        dom, cod = space_ab(), space_abc()
-        phi = metric_map(dom, cod, {"a": "a", "b": "b"})
-        psi = metric_map(dom, cod, {"a": "c", "b": "b"})
-        rng = rng_for(53, "map-isometry")
-        sampled = [random_measure(rng, dom) for _ in range(30)]
-        attained, bound = map_isometry_check(phi, psi, sampled)
-        assert attained == bound == sup_distance(phi, psi) == Fraction(1)
-
-    def test_map_isometry_check_requires_shared_shape(self):
-        phi = metric_map(space_ab(), space_ab(), {"a": "a", "b": "b"})
-        psi = metric_map(space_abc(), space_abc(), {p: p for p in "abc"})
-        with pytest.raises(SpaceMismatch):
-            map_isometry_check(phi, psi)
-
     def test_convergence_bound_for_eventually_equal_maps(self):
         dom, cod = space_abc(), space_abc()
         phi = metric_map(dom, cod, {"a": "a", "b": "b", "c": "c"})
@@ -903,13 +882,3 @@ class TestValidatorsAndErrors:
             transport_plan(mu, nu, [["1/2", "0"]])  # not square
         with pytest.raises(SpaceMismatch):
             transport_plan(mu, dirac(space_abc(), "a"), good)
-
-    def test_sampled_bound_violation_raises(self):
-        """A fake 'sampled measure' living farther than the bound trips the check."""
-        dom, cod = space_ab(), space_abc()
-        phi = metric_map(dom, cod, {"a": "a", "b": "a"})
-        psi = metric_map(dom, cod, {"a": "a", "b": "a"})  # identical: bound 0
-        stranger = prob_measure(dom, {"a": "1/2", "b": "1/2"})
-        # identical maps push any measure to the same spot: bound holds
-        attained, bound = map_isometry_check(phi, psi, [stranger])
-        assert attained == bound == 0

@@ -17,6 +17,9 @@ from zfun import (
     run_suite,
     suites,
 )
+from zfun.kantorovich import kantorovich
+from zfun.measures import dirac
+from zfun.stepspace import dirac_const, integral_metric
 from zfun.suites import (
     MAX_WITNESSES,
     SUITE_NAMES,
@@ -24,7 +27,7 @@ from zfun.suites import (
     CheckRecord,
     shrink_matrix_violation,
 )
-from zfun.spaces import glue_map, metric_map
+from zfun.spaces import glue_map, metric_map, sup_distance
 
 
 def small_cfg(**kw) -> RunConfig:
@@ -331,6 +334,58 @@ class TestPaddedChecksAreGlueChecks:
         assert keys["metric/glue-embedding-naturality"] == {
             ("instance", "anchor_point", "expected", "actual")
         }
+
+
+class TestMeasuresAndStepsShareLaws:
+    """The kantorovich and step suites run one set of metric-functor laws,
+    on measures and on step functions."""
+
+    @staticmethod
+    def records(cfg):
+        report = [run_suite(suite, cfg) for suite in ("kantorovich", "step")]
+        return {r.name: {tuple(f) for f in r.failures}
+                for part in report for r in part.records}
+
+    def test_one_broken_metric_fails_both_alike(self, monkeypatch):
+        monkeypatch.setattr(suites, "kantorovich", lambda mu, nu: kantorovich(mu, nu) + 1)
+        monkeypatch.setattr(suites, "integral_metric",
+                            lambda f, g: integral_metric(f, g) + 1)
+        keys = self.records(small_cfg(trials=10))
+        for measure, step in [("dirac-isometry", "constant-embedding-isometry"),
+                              ("diameter-preservation", "step-diameter"),
+                              ("kantorovich-metric-axioms", "integral-metric-axioms")]:
+            assert keys[measure] and keys[measure] == keys[step], (measure, keys[measure],
+                                                                   keys[step])
+        assert keys["dirac-isometry"] == {("instance", "pair", "value", "distance")}
+        assert keys["diameter-preservation"] == {("instance", "attained", "diameter")}
+
+    @pytest.mark.parametrize("bound, names, key", [
+        (lambda f, g: f.domain.mode.zero - 1,
+         ("map-pushforward-isometry", "pointwise-convergence-bound", "pushforward-sup-bound"),
+         "pushed"),
+        (lambda f, g: sup_distance(f, g) + 1,
+         ("map-pushforward-isometry", "pushforward-sup-bound"),
+         "attained"),
+    ], ids=["below-every-push", "above-every-unit"])
+    def test_a_wrong_sup_bound_fails_alike(self, monkeypatch, bound, names, key):
+        monkeypatch.setattr(suites, "sup_distance", bound)
+        keys = self.records(small_cfg(trials=10))
+        for name in names:
+            assert keys[name] == {("instance", key, "bound")}, name
+
+    def test_one_broken_push_fails_both_alike(self, monkeypatch):
+        # every element is pushed onto the unit at the codomain's last point
+        monkeypatch.setattr(suites, "pushforward",
+                            lambda f, mu: dirac(f.codomain, f.codomain.points[-1]))
+        monkeypatch.setattr(suites, "compose_pushforward",
+                            lambda f, u: dirac_const(f.codomain, f.codomain.points[-1]))
+        reports = {suite: run_suite(suite, small_cfg(trials=10)) for suite in ("measure", "step")}
+        keys = {(suite, r.name): {tuple(f) for f in r.failures}
+                for suite, report in reports.items() for r in report.records}
+        for name, witness in [("pushforward-functor-laws", ("instance", "law")),
+                              ("dirac-naturality", ("instance", "point"))]:
+            step_name = name.replace("dirac-", "pushforward-")
+            assert keys["measure", name] == keys["step", step_name] == {witness}
 
 
 class TestMetricAxioms:
