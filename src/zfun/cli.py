@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -80,7 +81,13 @@ def _shared_flags() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``zfun`` parser, built on the first call and then reused.
+
+    Each ``parse_args`` call fills a fresh namespace and leaves the parser as
+    it was, so every call of :func:`main` in one process can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="zfun",
         description="exact finite metric spaces, measures, gluing and extension checks",

@@ -53,9 +53,17 @@ def scaled(values) -> tuple[list[int], int]:
 
 
 def format_number(value: Num) -> str:
-    """Serialize a number as a string: "3/2" / "3" for rationals, repr for floats."""
+    """Serialize a number as a string: "3/2" / "3" for rationals, repr for floats.
+
+    A rational with more digits than Python converts to a string raises
+    FormatError.
+    """
     if isinstance(value, Fraction):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError as exc:  # past sys.get_int_max_str_digits()
+            raise FormatError("number too large to write: it has more digits "
+                              "than the integer string conversion limit") from exc
     return repr(float(value))
 
 

@@ -574,8 +574,8 @@ def _sup_bound(rec, trial, rng, mode, draw, unit, push, dist, samples=1,
             rec.fail(trial, pushed=_fmt(value), bound=_fmt(bound))
             return
     if attain:
-        attained = max(dist(push(phi, unit(a, p)), push(psi, unit(a, p)))
-                       for p in a.points)
+        attained = max(dist(push(phi, u), push(psi, u))
+                       for u in (unit(a, p) for p in a.points))
         if not mode.eq(attained, bound):
             rec.fail(trial, attained=_fmt(attained), bound=_fmt(bound))
 

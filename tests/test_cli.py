@@ -435,6 +435,49 @@ class TestGlueAndPush:
         ]
 
 
+class TestHugeDistances:
+    """A distance past Python's integer string limit (4300 digits by
+    default) parses and validates, but cannot be written back out."""
+
+    def setup_files(self, tmp, literal):
+        (tmp / "s.json").write_text(json.dumps(
+            {"points": ["a", "b"], "dist": [["0", literal], [literal, "0"]]}
+        ))
+        for p in "ab":
+            (tmp / f"{p}.json").write_text(
+                json.dumps({"space": "s.json", "weights": {p: "1"}})
+            )
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no integer string limit")
+    @pytest.mark.parametrize("args", [("glue", "s.json"), ("dist", "a.json", "b.json")],
+                             ids=["glue", "dist"])
+    def test_a_number_too_large_to_write_exits_two(self, tmp_path, args):
+        self.setup_files(tmp_path, "1e5000")
+        limit = {"PYTHONINTMAXSTRDIGITS": "4300"}
+        assert run_cli("validate", "s.json", env_extra=limit, cwd=tmp_path).returncode == 0
+        proc = run_cli(*args, env_extra=limit, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == [
+            "error: number too large to write: it has more digits than the "
+            "integer string conversion limit"
+        ]
+
+    def test_a_literal_past_the_limit_is_rejected_when_parsed(self, tmp_path):
+        self.setup_files(tmp_path, "1" * 5001)
+        proc = run_cli("glue", "s.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: not a rational: ")
+
+    def test_a_number_within_the_limit_is_written(self, tmp_path, capsys):
+        self.setup_files(tmp_path, "1e4000")
+        assert cli.main(["glue", str(tmp_path / "s.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["dist"][0][1] == str(10**4000)
+        assert cli.main(["dist", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == str(10**4000)
+
+
 class TestExtend:
     def setup_files(self, tmp):
         (tmp / "phi.json").write_text(
@@ -761,3 +804,38 @@ class TestUsage:
         assert proc.returncode == 0
         for sub in ("validate", "dist", "glue", "push", "extend", "check", "report"):
             assert sub in proc.stdout
+
+
+class TestRepeatedMain:
+    """``cli.main`` builds its parser once and may be called again and again
+    in one process: no call's flags, failure or environment leaks into the
+    next."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_of_one_call_do_not_carry_into_the_next(self, workdir, capsys):
+        mu, nu, out = (str(workdir / name) for name in ("mu.json", "nu.json", "x.json"))
+        code = cli.main(["dist", mu, nu, "--mode", "float", "--tolerance", "1e-3",
+                         "--certificate", "plan", "-o", out])
+        assert code == 0
+        written = json.loads((workdir / "x.json").read_text())
+        assert written["mode"] == "float" and list(written["certificate"]) == ["plan"]
+        assert capsys.readouterr().out == ""
+        assert cli.main(["dist", mu, nu]) == 0
+        assert capsys.readouterr().out == run_cli("dist", "mu.json", "nu.json",
+                                                  cwd=workdir).stdout
+
+    def test_a_usage_error_does_not_break_the_next_call(self, workdir, capsys):
+        mu, nu = str(workdir / "mu.json"), str(workdir / "nu.json")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dist", mu, nu, "--certificate", "neither"])
+        assert exc.value.code == 2
+        assert cli.main(["dist", mu, nu]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "3/4"
+
+    def test_each_call_reads_the_seed_variable_again(self, monkeypatch, capsys):
+        for seed in ("5", "6"):
+            monkeypatch.setenv("ZFUN_SEED", seed)
+            assert cli.main(["check", "metric", "--trials", "1"]) == 0
+            assert json.loads(capsys.readouterr().out)["config"]["seed"] == seed

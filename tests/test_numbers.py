@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,14 @@ class TestFormatNumber:
 
     def test_float_uses_repr(self):
         assert format_number(0.1) == "0.1"
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter has no integer string limit")
+    def test_more_digits_than_the_string_limit_is_a_format_error(self):
+        limit = sys.get_int_max_str_digits()
+        assert format_number(Fraction(10 ** (limit - 1))) == "1" + "0" * (limit - 1)
+        with pytest.raises(FormatError, match="too large to write"):
+            format_number(Fraction(1, 10**limit))
 
 
 class TestModes:
