@@ -37,7 +37,6 @@ from .kantorovich import (
 )
 from .measures import (
     ProbMeasure,
-    change_of_variables_check,
     convex_combination,
     dirac,
     image_weight,
@@ -56,7 +55,6 @@ from .scheme import (
     decompose_automorphism,
     extend_map,
     extend_metric,
-    extension_isometry_check,
     member_space,
 )
 from .spaces import (
@@ -104,13 +102,12 @@ __all__ = [
     "LipschitzPotential", "TransportPlan", "duality_gap", "kantorovich",
     "kantorovich_dual", "kantorovich_primal", "lipschitz_potential",
     "potential_gap", "transport_plan",
-    "ProbMeasure", "change_of_variables_check", "convex_combination",
-    "dirac", "image_weight", "in_image", "integrate", "measures_equal",
-    "preimage_measure", "prob_measure", "pushforward",
+    "ProbMeasure", "convex_combination", "dirac", "image_weight",
+    "in_image", "integrate", "measures_equal", "preimage_measure",
+    "prob_measure", "pushforward",
     "EXACT", "Mode", "float_mode", "format_number", "parse_number",
     "ContinuationContext", "ExtensionResult", "build_finite_fixture",
-    "decompose_automorphism", "extend_map", "extend_metric",
-    "extension_isometry_check", "member_space",
+    "decompose_automorphism", "extend_map", "extend_metric", "member_space",
     "ANCHOR_PREFIX", "FiniteMetricSpace", "MetricMap", "compose",
     "default_anchor", "diameter", "glue_map", "glue_space",
     "identity_map", "image", "invert", "is_bijective", "is_injective",

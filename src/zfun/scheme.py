@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .generate import normalize_diameter, random_space, rng_for
-from .numbers import EXACT, Mode, Num
+from .numbers import EXACT, Mode, format_number
 from .spaces import (
     ANCHOR_PREFIX,
     FiniteMetricSpace,
@@ -90,7 +91,8 @@ def check_fixture_sizes(n, k) -> None:
     if not (isinstance(n, int) and isinstance(k, int)):
         raise BadParameters("n and k must be integers")
     if not (1 <= k and 2 * k <= n):
-        raise BadParameters(f"need 1 <= k <= n/2, got n={n}, k={k}")
+        raise BadParameters(f"need 1 <= k <= n/2, got n={format_number(Fraction(n))}, "
+                            f"k={format_number(Fraction(k))}")
 
 
 def build_finite_fixture(
@@ -112,7 +114,8 @@ def build_finite_fixture(
     if ambient is None:
         ambient = random_space(rng_for(seed, f"fixture-ambient-{n}"), n, mode=mode)
     elif len(ambient.points) != n:
-        raise BadParameters(f"ambient has {len(ambient.points)} points, expected {n}")
+        raise BadParameters(f"ambient has {len(ambient.points)} points, "
+                            f"expected {format_number(Fraction(n))}")
     elif ambient.mode != mode:
         raise SpaceMismatch("the ambient space is not in the fixture's mode")
 
@@ -240,36 +243,6 @@ def extend_metric(
         for a in ctx.ambient.points
     ]
     return validate_space(ctx.ambient.points, matrix, mode)
-
-
-def extension_isometry_check(
-    ctx: ContinuationContext,
-    member: Sequence[str],
-    codomain_member: Sequence[str],
-    d: FiniteMetricSpace,
-    pairs: Sequence[tuple[MetricMap, MetricMap]],
-) -> list[tuple[Num, Num]]:
-    """For map pairs K -> L: (sup distance under ``d``, sup distance of extensions).
-
-    ``d`` is a metric on the codomain member; the extended metric is built
-    once and each pair is measured in both worlds.  The two numbers agree.
-    """
-    dom_key = ctx.member(member)
-    cod_key = ctx.member(codomain_member)
-    extended = extend_metric(ctx, cod_key, d)
-    out = []
-    for phi, psi in pairs:
-        for f in (phi, psi):
-            if set(f.domain.points) != set(dom_key) or set(f.codomain.points) != set(cod_key):
-                raise NotInFamily("map pair does not run between the stated members")
-        lhs = max(d.distance(phi(x), psi(x)) for x in phi.domain.points)
-        phi_hat = extend_map(ctx, phi).extension
-        psi_hat = extend_map(ctx, psi).extension
-        rhs = max(
-            extended.distance(phi_hat(a), psi_hat(a)) for a in ctx.ambient.points
-        )
-        out.append((lhs, rhs))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,9 @@ from .kantorovich import (
 )
 from .measures import (
     convex_combination,
-    change_of_variables_check,
     dirac,
     in_image,
-    injectivity_transfer_check,
+    integrate,
     measures_equal,
     preimage_measure,
     pushforward,
@@ -71,7 +70,6 @@ from .scheme import (
     decompose_automorphism,
     extend_map,
     extend_metric,
-    extension_isometry_check,
     member_space,
 )
 from .spaces import (
@@ -631,7 +629,8 @@ def _check_change_of_variables(rec, trial, rng, mode):
         q: mode.convert(Fraction(rng.randint(-20, 20), rng.randint(1, 5)))
         for q in b.points
     }
-    lhs, rhs = change_of_variables_check(f, mu, g)
+    lhs = integrate(g, pushforward(f, mu))
+    rhs = integrate({p: g[f(p)] for p in a.points}, mu)
     if not mode.eq(lhs, rhs):
         rec.fail(trial, lhs=_fmt(lhs), rhs=_fmt(rhs))
 
@@ -657,8 +656,11 @@ def _check_image_characterization(rec, trial, rng, mode):
 def _check_injectivity_transfer(rec, trial, rng, mode):
     a, b = _spaces(rng, mode, (1, 4), (1, 4))
     f = generate.random_map(rng, a, b)
-    if not injectivity_transfer_check(f):
-        rec.fail(trial, map=f.as_dict())
+    pushed = [pushforward(f, dirac(a, p)) for p in a.points]
+    for (p, mu), (q, nu) in itertools.combinations(zip(a.points, pushed), 2):
+        if measures_equal(mu, nu) != (f(p) == f(q)):
+            rec.fail(trial, pair=[p, q])
+            break
 
 
 @check("measure", "measure:surjectivity", ("surjectivity-transfer", "(e)"))
@@ -791,13 +793,15 @@ def _check_fixture_shape(rec, cfg, ctx):
 # the laws of the extension functor, shared with ``zfun extend --check-laws``
 
 
-def extension_restricts(rec, trial, phi, hat) -> None:
+def extension_restricts(rec, trial, phi, hat) -> bool:
     """Law (b): fail ``rec`` at the first point of ``phi``'s domain that the
-    ambient self-map ``hat`` sends elsewhere than ``phi`` does."""
+    ambient self-map ``hat`` sends elsewhere than ``phi`` does; say whether
+    the law held."""
     for x in phi.domain.points:
         if hat(x) != phi(x):
             rec.fail(trial, point=x, original=phi(x), extended=hat(x))
-            break
+            return False
+    return True
 
 
 def extension_functor_laws(rec, trial, ctx, phi, psi) -> None:
@@ -836,6 +840,20 @@ def extension_transfers(records, trial, ctx, phi, hat) -> None:
         surj.fail(trial, original=is_surjective(phi), extension=is_surjective(hat))
 
 
+def _metric_extension_restricts(rec, trial, rng, mode, ctx, member):
+    """Law (i), restriction: draw a metric ``d`` on ``member`` and extend it.
+    Fail ``rec`` at the first member pair whose distance moved and return
+    None; else return ``(d, extended)``."""
+    d = generate.random_space(rng, len(member), labels=member, mode=mode)
+    extended = extend_metric(ctx, member, d)
+    for x, y in itertools.product(member, repeat=2):
+        if not mode.eq(extended.distance(x, y), d.distance(x, y)):
+            rec.fail(trial, pair=[x, y], expected=_fmt(d.distance(x, y)),
+                     actual=_fmt(extended.distance(x, y)))
+            return None
+    return d, extended
+
+
 @check("scheme", "scheme:restricts", ("extension-restricts", "(b)"), setup=_fixture)
 def _check_extension_restricts(rec, trial, rng, mode, ctx):
     phi = _family_map(ctx, rng)
@@ -863,16 +881,10 @@ def _check_scheme_transfers(records, trial, rng, mode, ctx):
 @check("scheme", "scheme:metric-extension", ("metric-extension", "(i)"),
        trials=_half_trials, setup=_fixture, when=_wide_pad)
 def _check_metric_extension(rec, trial, rng, mode, ctx):
-    member = rng.choice(ctx.family)
-    d = generate.random_space(rng, len(member), labels=member, mode=mode)
-    extended = extend_metric(ctx, member, d)
-    for x in member:
-        for y in member:
-            if not mode.eq(extended.distance(x, y), d.distance(x, y)):
-                rec.fail(trial, pair=[x, y],
-                         expected=_fmt(d.distance(x, y)),
-                         actual=_fmt(extended.distance(x, y)))
-                return
+    metrics = _metric_extension_restricts(rec, trial, rng, mode, ctx, rng.choice(ctx.family))
+    if metrics is None:
+        return
+    d, extended = metrics
     expected_diam = max(diameter(d), mode.one)
     if not mode.eq(diameter(extended), expected_diam):
         rec.fail(trial, diameter=_fmt(diameter(extended)),
@@ -891,7 +903,11 @@ def _check_extension_isometry(rec, trial, rng, mode, ctx):
         (generate.random_map(rng, dom, cod), generate.random_map(rng, dom, cod))
         for _ in range(2)
     ]
-    for lhs, rhs in extension_isometry_check(ctx, dom_member, cod_member, d, pairs):
+    extended = extend_metric(ctx, cod_member, d)
+    for phi, psi in pairs:
+        lhs = max(d.distance(phi(x), psi(x)) for x in dom.points)
+        phi_hat, psi_hat = (extend_map(ctx, f).extension for f in (phi, psi))
+        rhs = max(extended.distance(phi_hat(a), psi_hat(a)) for a in ctx.ambient.points)
         if not mode.eq(lhs, rhs):
             rec.fail(trial, original=_fmt(lhs), extended=_fmt(rhs))
             break
@@ -917,26 +933,16 @@ def _check_padded_functor(records, trial, rng, mode, ctx):
 
 @check("scheme", None, ("chart-independence", "plumbing"), trials=None)
 def _check_chart_independence(rec, cfg):
-    mode = cfg.mode
+    """Laws (b) and (i)'s restriction under three randomized fixtures, with
+    those laws' witnesses; (i) needs a pad that can be glued."""
     rng = generate.rng_for(cfg.seed, "scheme:chart-independence")
     for h_seed in range(3):
         rec.instances += 1
         ctx = _fixture(cfg, h_seed=h_seed)
         phi = _family_map(ctx, rng)
-        result = extend_map(ctx, phi)
-        if any(result.extension(x) != phi(x) for x in phi.domain.points):
-            rec.fail(h_seed, law="(b) under randomized charts")
-            continue
-        member = ctx.member(phi.codomain.points)
-        if _wide_pad(cfg):
-            d = generate.random_space(rng, len(member), labels=member, mode=mode)
-            extended = extend_metric(ctx, member, d)
-            if any(
-                not mode.eq(extended.distance(x, y), d.distance(x, y))
-                for x in member
-                for y in member
-            ):
-                rec.fail(h_seed, law="(i) under randomized charts")
+        held = extension_restricts(rec, h_seed, phi, extend_map(ctx, phi).extension)
+        if held and _wide_pad(cfg):
+            _metric_extension_restricts(rec, h_seed, rng, cfg.mode, ctx, phi.codomain.points)
 
 
 @check("scheme", None, ("decomposition-factorization", "(a)"), trials=None, setup=_fixture)

@@ -464,6 +464,40 @@ class TestHugeDistances:
             "integer string conversion limit"
         ]
 
+    # an error message that quotes such a number: a weights total, a
+    # negative weight, an anchor's diameter, a fixture size, and the size an
+    # ambient space should have
+    QUOTED = {
+        "s.json": {"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]},
+        "tiny.json": {"space": "s.json", "weights": {"a": "1e-5000"}},
+        "negative.json": {"space": "s.json", "weights": {"a": "-1e5000", "b": "1e5000"}},
+        "big.json": {"points": ["x", "y"], "dist": [["0", "1e5000"], ["1e5000", "0"]]},
+        "fx.json": {"n": 4, "k": "1e5000"},
+        "fxa.json": {"n": "1e5000", "k": 1, "ambient": "s.json"},
+        "m.json": {"domain": ["x0"], "codomain": ["x0"], "assignment": {"x0": "x0"}},
+    }
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no integer string limit")
+    @pytest.mark.parametrize("args", [
+        ("dist", "tiny.json", "tiny.json"),
+        ("dist", "negative.json", "negative.json"),
+        ("glue", "s.json", "--anchor", "big.json"),
+        ("extend", "m.json", "--fixture", "fx.json"),
+        ("extend", "m.json", "--fixture", "fxa.json"),
+    ], ids=["weights-total", "negative-weight", "anchor-diameter", "fixture-size",
+            "ambient-size"])
+    def test_a_number_too_large_to_quote_exits_two(self, tmp_path, args):
+        for name, obj in self.QUOTED.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        proc = run_cli(*args, env_extra={"PYTHONINTMAXSTRDIGITS": "4300"}, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == [
+            "error: number too large to write: it has more digits than the "
+            "integer string conversion limit"
+        ]
+
     def test_a_literal_past_the_limit_is_rejected_when_parsed(self, tmp_path):
         self.setup_files(tmp_path, "1" * 5001)
         proc = run_cli("glue", "s.json", cwd=tmp_path)

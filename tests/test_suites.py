@@ -19,6 +19,7 @@ from zfun import (
 )
 from zfun.kantorovich import kantorovich
 from zfun.measures import dirac
+from zfun.scheme import ExtensionResult
 from zfun.stepspace import dirac_const, integral_metric
 from zfun.suites import (
     MAX_WITNESSES,
@@ -422,3 +423,43 @@ class TestMetricAxioms:
         dist = self.table(xy=0, yx=0, xz=0)
         assert self.run(dist, positivity=False) == ([], ["xx", "xy", "yx", "xz", "yz"])
         assert self.run(dist)[0] == ["positivity"]
+
+
+class TestLawsLiveInTheSuites:
+    """The measure and scheme laws are computed in ``zfun.suites`` itself, so
+    a function patched there reaches them, and chart-independence writes the
+    witnesses of the laws it reruns."""
+
+    @staticmethod
+    def keys(suite, **kw):
+        report = run_suite(suite, small_cfg(trials=10, **kw))
+        return {r.name: {tuple(f) for f in r.failures} for r in report.records}
+
+    def test_injectivity_transfer_names_the_pair(self, monkeypatch):
+        # every Dirac is pushed onto the Dirac at the codomain's last point
+        monkeypatch.setattr(suites, "pushforward",
+                            lambda f, mu: dirac(f.codomain, f.codomain.points[-1]))
+        report = run_suite("measure", small_cfg(trials=10))
+        (record,) = [r for r in report.records if r.name == "injectivity-transfer"]
+        assert record.failures
+        for failure in record.failures:
+            assert list(failure) == ["instance", "pair"]
+            p, q = failure["pair"]
+            assert p != q and p.startswith("a") and q.startswith("a")
+
+    def test_a_moved_extension_fails_chart_independence_as_law_b(self, monkeypatch):
+        # every ambient point is sent to the ambient's last point
+        monkeypatch.setattr(suites, "extend_map", lambda ctx, phi: ExtensionResult(
+            phi, phi, _onto_last_point(ctx.ambient, ctx.ambient)))
+        keys = self.keys("scheme")
+        witness = {("instance", "point", "original", "extended")}
+        assert keys["extension-restricts"] == keys["chart-independence"] == witness
+
+    def test_a_wrong_metric_extension_fails_three_laws(self, monkeypatch):
+        # the "extension" is the ambient metric, which ignores the given one
+        monkeypatch.setattr(suites, "extend_metric", lambda ctx, member, d: ctx.ambient)
+        keys = self.keys("scheme")
+        witness = {("instance", "pair", "expected", "actual")}
+        assert keys["metric-extension"] == keys["chart-independence"] == witness
+        assert keys["extension-isometry"] == {("instance", "original", "extended")}
+        assert keys["extension-restricts"] == set()
