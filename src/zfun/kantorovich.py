@@ -44,7 +44,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .measures import ProbMeasure, integrate
-from .numbers import Num, scaled
+from .numbers import Num, fold_sum, scaled
 from .simplexlp import MAX_PIVOTS, solve_inequality_lp
 from .spaces import FiniteMetricSpace
 
@@ -66,18 +66,24 @@ class LipschitzPotential:
 def lipschitz_potential(
     space: FiniteMetricSpace, values: Mapping[str, Num]
 ) -> LipschitzPotential:
-    """Validate the 1-Lipschitz property over all pairs and canonicalize."""
+    """Validate the 1-Lipschitz property over all pairs and canonicalize.
+
+    The test runs on :func:`_kernel_numbers`: exact mode checks
+    ``|f_i - f_j| * s <= d_ij * t`` on the space's lattice ``d / s`` and the
+    potential ``f / t`` on one integer scale, float mode the floats times 1.
+    """
     mode = space.mode
     missing = [p for p in space.points if p not in values]
     if missing:
         raise InvalidWeights(f"potential not defined at {missing!r}")
     pts = space.points
+    d, s, f, t, _, _ = _kernel_numbers(space, [values[p] for p in pts])
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            gap = values[pts[i]] - values[pts[j]]
+            gap = f[i] - f[j]
             if gap < 0:
                 gap = -gap
-            if not mode.leq(gap, space.dist[i][j]):
+            if not mode.leq(gap * s, d[i][j] * t):
                 raise InvalidWeights(
                     f"potential is not 1-Lipschitz at ({pts[i]!r}, {pts[j]!r})"
                 )
@@ -112,24 +118,35 @@ class TransportPlan:
 def transport_plan(
     source: ProbMeasure, target: ProbMeasure, matrix: Sequence[Sequence[Num]]
 ) -> TransportPlan:
-    """Validate marginals (and nonnegativity) of a coupling matrix."""
+    """Validate marginals (and nonnegativity) of a coupling matrix.
+
+    Exact mode puts the entries and both marginals on one integer scale,
+    which keeps every sum and comparison, and checks them as ``int``s.
+    """
     if source.space != target.space:
         raise SpaceMismatch("a plan couples measures on one space")
     mode = source.space.mode
-    n = len(source.space.points)
+    pts = source.space.points
+    n = len(pts)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InvalidWeights(f"plan matrix must be {n}x{n}")
-    rows = tuple(tuple(mode.convert(v) for v in row) for row in matrix)
-    for row in rows:
-        for v in row:
-            if not mode.leq(0, v):
-                raise InvalidWeights("plan entries must be nonnegative")
-    for i, p in enumerate(source.space.points):
-        if not mode.eq(sum(rows[i], mode.zero), source.weight(p)):
+    rows = tuple(tuple(map(mode.convert, row)) for row in matrix)
+    cells = [v for row in rows for v in row]
+    zero = mode.zero
+    mu, nu = source.as_dict(), target.as_dict()
+    a = [mu.get(p, zero) for p in pts]
+    b = [nu.get(q, zero) for q in pts]
+    if mode.is_exact:
+        flat, _ = scaled(cells + a + b)
+        cells, a, b, zero = flat[: n * n], flat[n * n: n * n + n], flat[n * n + n:], 0
+    # mode.leq(0, v), written out: tolerance 0 on the exact ints
+    if not all(0 - v <= mode.tolerance for v in cells):
+        raise InvalidWeights("plan entries must be nonnegative")
+    for i, p in enumerate(pts):
+        if not mode.eq(fold_sum(cells[i * n: i * n + n], zero), a[i]):
             raise InvalidWeights(f"row marginal at {p!r} does not match the source")
-    for j, q in enumerate(target.space.points):
-        col = sum((rows[i][j] for i in range(n)), mode.zero)
-        if not mode.eq(col, target.weight(q)):
+    for j, q in enumerate(pts):
+        if not mode.eq(fold_sum(cells[j::n], zero), b[j]):
             raise InvalidWeights(f"column marginal at {q!r} does not match the target")
     return TransportPlan(source, target, rows)
 
@@ -281,7 +298,7 @@ def kantorovich_dual(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, LipschitzPo
                 rows.append((i - 1, j - 1))
                 rhs.append(max(d[i][j] + d[0][i] - d[0][j], zero))
     z, g = solve_inequality_lp(c, rows, rhs, eps)
-    shift = sum((c[i - 1] * d[0][i] for i in range(1, n)), zero)
+    shift = fold_sum((c[i - 1] * d[0][i] for i in range(1, n)), zero)
     value = unscale(z - shift, s * t)
     f = [zero] + [g[i - 1] - d[0][i] for i in range(1, n)]
     f = [min(map(add, f, row)) for row in d]  # the c-transform
@@ -450,8 +467,8 @@ def kantorovich_primal(mu: ProbMeasure, nu: ProbMeasure) -> tuple[Num, Transport
     """
     space = _require_shared_space(mu, nu)
     mode = space.mode
-    total_mu = sum((w for _, w in mu.weights), mode.zero)
-    total_nu = sum((w for _, w in nu.weights), mode.zero)
+    total_mu = fold_sum((w for _, w in mu.weights), mode.zero)
+    total_nu = fold_sum((w for _, w in nu.weights), mode.zero)
     if not mode.eq(total_mu, total_nu):
         raise InfeasibleMass(f"totals differ: {total_mu} vs {total_nu}")
     src = [space.index(p) for p, _ in mu.weights]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import InvalidWeights, SpaceMismatch, UnknownPoint
-from .numbers import Num, format_number
+from .numbers import Num, fold_sum, quote_number
 from .spaces import FiniteMetricSpace, MetricMap, image
 
 RENORMALIZE_WITHIN = 1e-12
@@ -59,13 +59,13 @@ def prob_measure(space: FiniteMetricSpace, weights: Mapping[str, object]) -> Pro
             raise UnknownPoint(f"{label!r} is not a point of the space")
         value = mode.convert(raw)
         if value < 0:
-            raise InvalidWeights(f"negative weight at {label!r}: {format_number(value)}")
+            raise InvalidWeights(f"negative weight at {label!r}: {quote_number(value)}")
         table[label] = value
-    total = sum(table.values(), mode.zero)
+    total = fold_sum(table.values(), mode.zero)
     drift = 0.0
     if mode.is_exact:
         if total != 1:
-            raise InvalidWeights(f"weights total {format_number(total)}, expected exactly 1")
+            raise InvalidWeights(f"weights total {quote_number(total)}, expected exactly 1")
     else:
         if abs(total - 1.0) > RENORMALIZE_WITHIN:
             raise InvalidWeights(f"weights total {total!r}, expected 1 within 1e-12")
@@ -113,7 +113,7 @@ def convex_combination(t, mu: ProbMeasure, nu: ProbMeasure) -> ProbMeasure:
 
 def integrate(g: Mapping[str, Num], mu: ProbMeasure) -> Num:
     """Integral of the function ``g`` (a table on the points) against ``mu``."""
-    return sum((g[p] * w for p, w in mu.weights), mu.space.mode.zero)
+    return fold_sum((g[p] * w for p, w in mu.weights), mu.space.mode.zero)
 
 
 def image_weight(f: MetricMap, mu: ProbMeasure) -> Num:
@@ -121,7 +121,7 @@ def image_weight(f: MetricMap, mu: ProbMeasure) -> Num:
     if mu.space != f.codomain:
         raise SpaceMismatch("measure does not live on the map's codomain")
     img = set(image(f))
-    return sum((w for p, w in mu.weights if p in img), mu.space.mode.zero)
+    return fold_sum((w for p, w in mu.weights if p in img), mu.space.mode.zero)
 
 
 def in_image(f: MetricMap, mu: ProbMeasure) -> bool:

@@ -7,9 +7,12 @@ so exact values survive round trips.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import isfinite, lcm
+from operator import add
 from typing import Union
 
 from .errors import FormatError
@@ -20,9 +23,24 @@ DEFAULT_FLOAT_TOLERANCE = 1e-9
 
 _ZERO, _ONE = Fraction(0), Fraction(1)  # shared: Fractions are immutable
 
+# a plain ASCII "p/q", which Fraction's string grammar reads as int(p) / int(q)
+_PLAIN_RATIO = re.compile(r"([0-9]+)/([0-9]+)")
+
 
 def parse_number(value) -> Fraction:
-    """Parse a rational from a string ("3/2", "0.25", "7"), int, float or Fraction."""
+    """Parse a rational from a string ("3/2", "0.25", "7"), int, float or Fraction.
+
+    A string follows ``Fraction``'s grammar; a plain ``"p/q"`` skips its
+    parser for two ``int`` calls.
+    """
+    if isinstance(value, str):
+        try:
+            plain = _PLAIN_RATIO.fullmatch(value)
+            if plain:
+                return Fraction(int(plain[1]), int(plain[2]))
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"not a rational: {value!r}") from exc
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -33,12 +51,16 @@ def parse_number(value) -> Fraction:
         if not isfinite(value):
             raise FormatError(f"not a finite number: {value!r}")
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"not a rational: {value!r}") from exc
     raise FormatError(f"unsupported number type: {type(value).__name__}")
+
+
+def fold_sum(values, start=0):
+    """``start + v0 + v1 + ...``, added left to right.
+
+    This is the builtin ``sum`` up to Python 3.11; from 3.12 it compensates
+    the rounding of floats, so float results would depend on the version.
+    """
+    return reduce(add, values, start)
 
 
 def scaled(values) -> tuple[list[int], int]:
@@ -65,6 +87,18 @@ def format_number(value: Num) -> str:
             raise FormatError("number too large to write: it has more digits "
                               "than the integer string conversion limit") from exc
     return repr(float(value))
+
+
+def quote_number(value: Num) -> str:
+    """:func:`format_number` for an error message, which names the number's field.
+
+    A number too large to write reads as a placeholder, so the message
+    still says which input broke which rule.
+    """
+    try:
+        return format_number(value)
+    except FormatError:
+        return "<more digits than the integer string conversion limit>"
 
 
 @dataclass(frozen=True)

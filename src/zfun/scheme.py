@@ -35,7 +35,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .generate import normalize_diameter, random_space, rng_for
-from .numbers import EXACT, Mode, format_number
+from .numbers import EXACT, Mode, quote_number
 from .spaces import (
     ANCHOR_PREFIX,
     FiniteMetricSpace,
@@ -91,8 +91,8 @@ def check_fixture_sizes(n, k) -> None:
     if not (isinstance(n, int) and isinstance(k, int)):
         raise BadParameters("n and k must be integers")
     if not (1 <= k and 2 * k <= n):
-        raise BadParameters(f"need 1 <= k <= n/2, got n={format_number(Fraction(n))}, "
-                            f"k={format_number(Fraction(k))}")
+        raise BadParameters(f"need 1 <= k <= n/2, got n={quote_number(Fraction(n))}, "
+                            f"k={quote_number(Fraction(k))}")
 
 
 def build_finite_fixture(
@@ -115,7 +115,7 @@ def build_finite_fixture(
         ambient = random_space(rng_for(seed, f"fixture-ambient-{n}"), n, mode=mode)
     elif len(ambient.points) != n:
         raise BadParameters(f"ambient has {len(ambient.points)} points, "
-                            f"expected {format_number(Fraction(n))}")
+                            f"expected {quote_number(Fraction(n))}")
     elif ambient.mode != mode:
         raise SpaceMismatch("the ambient space is not in the fixture's mode")
 

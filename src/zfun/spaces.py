@@ -27,7 +27,7 @@ from .errors import (
     SpaceMismatch,
     UnknownPoint,
 )
-from .numbers import EXACT, Mode, Num, format_number, scaled
+from .numbers import EXACT, Mode, Num, quote_number, scaled
 
 ANCHOR_PREFIX = "ω:"  # "ω:" — reserved for anchor/pad labels
 
@@ -304,7 +304,7 @@ def _anchor_for(
         raise SpaceMismatch("the anchor and the space differ in arithmetic mode")
     if not mode.eq(diameter(anchor), mode.one):
         raise AnchorDiameterNotOne(
-            f"anchor diameter is {format_number(diameter(anchor))}, expected exactly 1"
+            f"anchor diameter is {quote_number(diameter(anchor))}, expected exactly 1"
         )
     return anchor
 

@@ -62,7 +62,7 @@ from .measures import (
     preimage_measure,
     pushforward,
 )
-from .numbers import EXACT, Mode, format_number as _fmt
+from .numbers import EXACT, Mode, fold_sum, format_number as _fmt
 from .scheme import (
     _bijections,
     build_finite_fixture,
@@ -588,7 +588,7 @@ def _check_mass_conservation(rec, trial, rng, mode):
     f = generate.random_map(rng, a, b)
     mu = generate.random_measure(rng, a)
     nu = pushforward(f, mu)
-    total = sum((w for _, w in nu.weights), mode.zero)
+    total = fold_sum((w for _, w in nu.weights), mode.zero)
     if not mode.eq(total, mode.one):
         rec.fail(trial, total=_fmt(total))
     if not set(nu.support()) <= set(image(f)):

@@ -265,6 +265,46 @@ def assert_plan_feasible(space, mu, nu, matrix):
             assert v >= 0
 
 
+def reference_potential_verdict(space, values):
+    """What ``lipschitz_potential`` raises, as a message, or None: the
+    pairwise loop on the values and distances as given, no integer scale."""
+    mode = space.mode
+    pts = space.points
+    missing = [p for p in pts if p not in values]
+    if missing:
+        return f"potential not defined at {missing!r}"
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            gap = abs(values[pts[i]] - values[pts[j]])
+            if not mode.leq(gap, space.dist[i][j]):
+                return f"potential is not 1-Lipschitz at ({pts[i]!r}, {pts[j]!r})"
+    return None
+
+
+def reference_plan_verdict(source, target, matrix):
+    """What ``transport_plan`` raises on a square matrix, as a message, or
+    None: nonnegativity, then row sums, then column sums, each added left to
+    right in the space's numbers."""
+    mode = source.space.mode
+    pts = source.space.points
+    rows = [[mode.convert(v) for v in row] for row in matrix]
+    if not all(mode.leq(0, v) for row in rows for v in row):
+        return "plan entries must be nonnegative"
+    for i, p in enumerate(pts):
+        total = mode.zero
+        for v in rows[i]:
+            total = total + v
+        if not mode.eq(total, source.weight(p)):
+            return f"row marginal at {p!r} does not match the source"
+    for j, q in enumerate(pts):
+        total = mode.zero
+        for row in rows:
+            total = total + row[j]
+        if not mode.eq(total, target.weight(q)):
+            return f"column marginal at {q!r} does not match the target"
+    return None
+
+
 def plan_cost(space, matrix) -> Fraction:
     pts = space.points
     return sum(

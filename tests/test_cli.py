@@ -178,6 +178,37 @@ class TestDist:
             proc.stderr,
         )
 
+    SEEDED_DIGESTS = {
+        "exact": "3773964ecf98f21451c2c5928063c886ba6f75ad738e087f6b7dde9fa75880b8",
+        "float": "54522047f35ad90aada526abef5ae5b75c41f7cf93ab7ac242185e186f360a36",
+    }
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_stdout_of_seeded_pairs_is_pinned(self, tmp_path, capsys, mode):
+        """20 seeded pairs, n = 2..12, every number an unreduced "p/q"
+        string: one digest over each call's exit code and stdout."""
+        digest = hashlib.sha256()
+        for k in range(20):
+            n = 2 + k % 11
+            rng = rng_for(k, f"dist-pin-{n}")
+            space = random_space(rng, n)
+            dist, scale = space.lattice
+            pair = [random_measure(rng, space, full_support=k % 2 == 0) for _ in "ab"]
+            (tmp_path / "s.json").write_text(json.dumps({
+                "points": list(space.points),
+                "dist": [[f"{3 * v}/{3 * scale}" for v in row] for row in dist],
+            }))
+            for name, mu in zip("ab", pair):
+                (tmp_path / f"{name}.json").write_text(json.dumps({
+                    "space": "s.json",
+                    "weights": {p: f"{w.numerator * 2}/{w.denominator * 2}"
+                                for p, w in mu.weights},
+                }))
+            code = cli.main(["dist", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                             "--mode", mode])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode("utf-8"))
+        assert digest.hexdigest() == self.SEEDED_DIGESTS[mode]
+
     @pytest.mark.parametrize(
         "points, dist, ends, expected",
         [
@@ -466,7 +497,7 @@ class TestHugeDistances:
 
     # an error message that quotes such a number: a weights total, a
     # negative weight, an anchor's diameter, a fixture size, and the size an
-    # ambient space should have
+    # ambient space should have; each still names its field and its rule
     QUOTED = {
         "s.json": {"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]},
         "tiny.json": {"space": "s.json", "weights": {"a": "1e-5000"}},
@@ -479,24 +510,23 @@ class TestHugeDistances:
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this interpreter has no integer string limit")
-    @pytest.mark.parametrize("args", [
-        ("dist", "tiny.json", "tiny.json"),
-        ("dist", "negative.json", "negative.json"),
-        ("glue", "s.json", "--anchor", "big.json"),
-        ("extend", "m.json", "--fixture", "fx.json"),
-        ("extend", "m.json", "--fixture", "fxa.json"),
+    @pytest.mark.parametrize("args, message", [
+        (("dist", "tiny.json", "tiny.json"), "weights total {huge}, expected exactly 1"),
+        (("dist", "negative.json", "negative.json"), "negative weight at 'a': {huge}"),
+        (("glue", "s.json", "--anchor", "big.json"),
+         "anchor diameter is {huge}, expected exactly 1"),
+        (("extend", "m.json", "--fixture", "fx.json"), "need 1 <= k <= n/2, got n=4, k={huge}"),
+        (("extend", "m.json", "--fixture", "fxa.json"), "ambient has 2 points, expected {huge}"),
     ], ids=["weights-total", "negative-weight", "anchor-diameter", "fixture-size",
             "ambient-size"])
-    def test_a_number_too_large_to_quote_exits_two(self, tmp_path, args):
+    def test_a_number_too_large_to_quote_exits_two(self, tmp_path, args, message):
         for name, obj in self.QUOTED.items():
             (tmp_path / name).write_text(json.dumps(obj))
         proc = run_cli(*args, env_extra={"PYTHONINTMAXSTRDIGITS": "4300"}, cwd=tmp_path)
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr.strip().splitlines() == [
-            "error: number too large to write: it has more digits than the "
-            "integer string conversion limit"
-        ]
+        huge = "<more digits than the integer string conversion limit>"
+        assert proc.stderr.strip().splitlines() == ["error: " + message.format(huge=huge)]
 
     def test_a_literal_past_the_limit_is_rejected_when_parsed(self, tmp_path):
         self.setup_files(tmp_path, "1" * 5001)

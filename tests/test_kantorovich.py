@@ -9,7 +9,7 @@ import hashlib
 import importlib
 import itertools
 from fractions import Fraction
-from math import lcm, ulp
+from math import floor, gcd, lcm, ulp
 
 import pytest
 
@@ -41,7 +41,7 @@ from zfun.generate import (
     rng_for,
 )
 from zfun.kantorovich import LipschitzPotential, _essential_pairs, _transport_simplex
-from zfun.numbers import scaled
+from zfun.numbers import fold_sum, scaled
 from zfun.simplexlp import solve_inequality_lp
 
 from helpers import (
@@ -52,6 +52,8 @@ from helpers import (
     grid_measures,
     million_draws,
     plan_cost,
+    reference_plan_verdict,
+    reference_potential_verdict,
     reference_transport_simplex,
     space_ab,
     space_abc,
@@ -481,7 +483,8 @@ def full_row_dual(mu, nu):
                 rows.append((i - 1, j - 1))
                 rhs.append(max(d[i][j] + d[0][i] - d[0][j], mode.zero))
     lp_value, g = solve_inequality_lp(c, rows, rhs, mode.pivot_eps)
-    shift = sum(c[i - 1] * d[0][i] for i in range(1, n))
+    # added left to right, as the dual route adds it on every Python
+    shift = fold_sum(c[i - 1] * d[0][i] for i in range(1, n))
     return lp_value - shift, (mode.zero, *(g[i - 1] - d[0][i] for i in range(1, n)))
 
 
@@ -882,3 +885,114 @@ class TestValidatorsAndErrors:
             transport_plan(mu, nu, [["1/2", "0"]])  # not square
         with pytest.raises(SpaceMismatch):
             transport_plan(mu, dirac(space_abc(), "a"), good)
+
+
+def _verdict(validate, *args):
+    """The ``InvalidWeights`` message that ``validate(*args)`` raises, or None."""
+    try:
+        validate(*args)
+    except InvalidWeights as exc:
+        return str(exc)
+    return None
+
+
+class TestIntegerValidatorsMatchTheFractionLoops:
+    """Exact ``transport_plan`` and ``lipschitz_potential`` compare on one
+    integer scale; they accept, reject and name the first failing point or
+    pair exactly as the ``Fraction`` loops in ``helpers`` do."""
+
+    @staticmethod
+    def _pairs(mode):
+        for k in range(12):
+            rng = rng_for(k, "integer-validators")
+            space = random_space(rng, 3 + k % 4, mode=mode)
+            yield space, random_measure(rng, space), random_measure(rng, space)
+
+    def _assert_plan_agrees(self, mu, nu, matrix):
+        expected = reference_plan_verdict(mu, nu, matrix)
+        assert _verdict(transport_plan, mu, nu, matrix) == expected
+        return expected
+
+    @pytest.mark.parametrize("mode, step", [(EXACT, Fraction(1, 10007 * 10009)),
+                                            (float_mode(), 1e-6)], ids=["exact", "float"])
+    def test_plan_entries_with_denominators_coprime_to_the_weights(self, mode, step):
+        seen = set()
+        for space, mu, nu in self._pairs(mode):
+            _, plan = kantorovich_primal(mu, nu)
+            n = len(space.points)
+            for i, j in itertools.product(range(n), repeat=2):
+                k, m = (i + 1) % n, (j + 1) % n
+                # a 2x2 cycle keeps every marginal; one entry moves a row and a column
+                cycle = [list(row) for row in plan.matrix]
+                cycle[i][j] += step
+                cycle[k][m] += step
+                cycle[i][m] -= step
+                cycle[k][j] -= step
+                single = [list(row) for row in plan.matrix]
+                single[k][m] += step
+                seen.add(self._assert_plan_agrees(mu, nu, cycle))
+                seen.add(self._assert_plan_agrees(mu, nu, single))
+        assert None in seen and "plan entries must be nonnegative" in seen
+        assert any(v and v.startswith("row marginal") for v in seen)
+
+    def test_an_entry_off_by_ten_to_the_minus_forty(self):
+        tiny = Fraction(1, 10**40)
+        for space, mu, nu in self._pairs(EXACT):
+            _, plan = kantorovich_primal(mu, nu)
+            pts = space.points
+            zero_cell = next((i, j) for i, row in enumerate(plan.matrix)
+                             for j, v in enumerate(row) if v == 0)
+            for i, j in [(0, 0), zero_cell]:
+                for sign in (1, -1):
+                    matrix = [list(row) for row in plan.matrix]
+                    matrix[i][j] += sign * tiny
+                    if matrix[i][j] < 0:
+                        want = "plan entries must be nonnegative"
+                    else:
+                        want = f"row marginal at {pts[i]!r} does not match the source"
+                    assert self._assert_plan_agrees(mu, nu, matrix) == want
+            # the column alone: move mass within a row
+            matrix = [list(row) for row in plan.matrix]
+            matrix[0][0] += tiny
+            matrix[0][1] -= tiny
+            got = self._assert_plan_agrees(mu, nu, matrix)
+            assert got in (None, "plan entries must be nonnegative",
+                           f"column marginal at {pts[0]!r} does not match the target")
+
+    def test_a_potential_off_by_one_unit_at_a_scale_coprime_to_the_lattice(self):
+        verdicts = []
+        for space, mu, nu in self._pairs(EXACT):
+            _, potential = kantorovich_dual(mu, nu)
+            d, s = space.lattice
+            q = next(q for q in range(10007, 10**6) if gcd(q, s) == 1)
+            pts = space.points
+            f = potential.as_dict()
+            for i, j in itertools.combinations(range(len(pts)), 2):
+                # the last unit of 1/q within d(i, j), and the first past it
+                below = floor(space.dist[i][j] * q)
+                for units in (below, below + 1):
+                    g = dict(f)
+                    g[pts[j]] = f[pts[i]] + Fraction(units, q)
+                    expected = reference_potential_verdict(space, g)
+                    assert _verdict(lipschitz_potential, space, g) == expected
+                    verdicts.append(expected)
+        assert None in verdicts and len(set(verdicts)) > 2
+
+    def test_numbers_of_four_thousand_digits(self):
+        big = Fraction(10**4000)
+        space = validate_space("abc", [[0, big, 2 * big], [big, 0, big], [2 * big, big, 0]])
+        for c, expected in [(2 * big, None),
+                            (2 * big + 1, "potential is not 1-Lipschitz at ('a', 'c')"),
+                            (2 * big - Fraction(1, 10**4000), None)]:
+            g = {"a": Fraction(0), "b": big, "c": c}
+            assert reference_potential_verdict(space, g) == expected
+            assert _verdict(lipschitz_potential, space, g) == expected
+        tiny = Fraction(1, 10**4000)
+        mu = prob_measure(space, {"a": 1 - tiny, "c": tiny})
+        nu = prob_measure(space, {"b": 1 - tiny, "c": tiny})
+        good = [[0, 1 - tiny, 0], [0, 0, 0], [0, 0, tiny]]
+        assert self._assert_plan_agrees(mu, nu, good) is None
+        good[0][1] -= tiny
+        good[0][2] += tiny
+        assert self._assert_plan_agrees(mu, nu, good) == (
+            "column marginal at 'b' does not match the target")

@@ -53,6 +53,49 @@ class TestParseNumber:
         assert parse_number(format_number(q)) == q
 
 
+def assert_parses_as_fraction(s):
+    """``parse_number`` agrees with ``Fraction``'s own string parser, and
+    float mode with ``float`` of that Fraction: same value, or both reject."""
+    try:
+        expected = Fraction(s.strip())
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    if expected is None:
+        with pytest.raises(FormatError, match="not a rational"):
+            parse_number(s)
+        with pytest.raises(FormatError):
+            float_mode().convert(s)
+        return
+    assert parse_number(s) == expected
+    try:
+        as_float = float(expected)
+    except OverflowError:
+        with pytest.raises(FormatError):
+            float_mode().convert(s)
+    else:
+        assert repr(float_mode().convert(s)) == repr(as_float)
+
+
+class TestParseAgreesWithFraction:
+    """A plain ASCII "p/q" is read with two ``int`` calls, every other string
+    by ``Fraction``; either way the grammar and the value are ``Fraction``'s."""
+
+    @settings(derandomize=True, max_examples=500)
+    @given(st.text(alphabet="0123456789/+-_.e \n\u00b2\u0663", max_size=12))
+    def test_drawn_strings(self, s):
+        assert_parses_as_fraction(s)
+
+    @pytest.mark.parametrize("s", [
+        "\u0663/\u0664",  # Arabic-Indic digits: Fraction's grammar, not the plain path
+        "\u00b2/3",  # a superscript: a digit to str.isdigit, not to int()
+        "1_0/3",  # rejected on 3.10, accepted from 3.11 on
+        "0/0", "03/004", "7/1", "0/5", "3/4\n", " 3/4", "-3/4", "+3/4",
+        "1" * 5001 + "/2", "2/" + "1" * 5001,  # past the integer string limit
+    ])
+    def test_fixed_strings(self, s):
+        assert_parses_as_fraction(s)
+
+
 class TestFormatNumber:
     def test_fraction_keeps_slash(self):
         assert format_number(Fraction(3, 2)) == "3/2"
