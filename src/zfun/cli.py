@@ -15,13 +15,12 @@ import math
 import os
 import sys
 import time
-from pathlib import Path
 
 from . import fileio
 from .errors import AxiomViolation, FormatError, ZfunError
 from .kantorovich import kantorovich_dual, kantorovich_primal
 from .measures import pushforward
-from .numbers import DEFAULT_FLOAT_TOLERANCE, mode_from_name, parse_number
+from .numbers import DEFAULT_FLOAT_TOLERANCE, mode_from_name
 from .scheme import (
     build_finite_fixture,
     decompose_automorphism,
@@ -188,25 +187,28 @@ def _print_records(report_obj, stream) -> None:
         )
 
 
+def _emit_report(report: Report, args, **extra) -> int:
+    """Emit the report, then ``extra``; list its records on stderr; return its exit code."""
+    out = {**report.as_dict(), **extra}
+    _emit(out, args)
+    _print_records(out, sys.stderr)
+    return 0 if report.passed else 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_validate(args) -> int:
     mode = _mode(args)
-    raw = fileio.load_json(args.space)
-    record = CheckRecord("metric-axioms", "plumbing")
-    record.instances = 1
+    record = CheckRecord("metric-axioms", "plumbing", 1)
     try:
-        fileio.space_from_obj(raw, mode, Path(args.space).parent)
+        fileio.load_space(args.space, mode)
     except AxiomViolation as exc:
         for axiom, witness in exc.violations:
             record.failures.append({"axiom": axiom, "witness": list(witness)})
     cfg = RunConfig(mode=mode, seed=_seed(args), trials=1)
-    report = Report("validate", cfg, [record])
-    _emit(report.as_dict(), args)
-    _print_records(report.as_dict(), sys.stderr)
-    return 0 if report.passed else 1
+    return _emit_report(Report("validate", cfg, [record]), args)
 
 
 def cmd_dist(args) -> int:
@@ -260,56 +262,16 @@ def cmd_push(args) -> int:
     return 0
 
 
-def _fixture_int(desc: dict, key: str, default=None):
-    """``desc[key]`` as an integer (``default`` when absent), or FormatError."""
-    value = desc.get(key, default)
-    if value is None:
-        return None
-    try:
-        number = parse_number(value)
-    except (FormatError, ValueError, OverflowError):
-        number = None
-    if number is None or number.denominator != 1:
-        raise FormatError(f"fixture {key!r} must be an integer, got {value!r}")
-    return int(number)
-
-
-def _fixture_from_args(args, mode, seed):
-    if args.fixture:
-        desc = fileio.load_json(args.fixture)
-        if not isinstance(desc, dict) or "n" not in desc or "k" not in desc:
-            raise FormatError("a fixture file needs at least 'n' and 'k'")
-        n, k = _fixture_int(desc, "n"), _fixture_int(desc, "k")
-        fixture_seed = _fixture_int(desc, "seed", seed)
-        h_seed = _fixture_int(desc, "h_seed")
-        ambient = None
-        if "ambient" in desc:
-            ambient = fileio.space_from_obj(
-                desc["ambient"], mode, Path(args.fixture).parent
-            )
-        return build_finite_fixture(n, k, fixture_seed, mode,
-                                    ambient=ambient, h_seed=h_seed)
-    if args.n is None or args.k is None:
-        raise FormatError("extend needs --fixture FILE or both --n and --k")
-    return build_finite_fixture(args.n, args.k, seed, mode)
-
-
-def _member_labels(raw):
-    """Accept a bare label list or a space object; return the labels."""
-    labels = raw.get("points") if isinstance(raw, dict) else raw
-    if not isinstance(labels, list) or not all(isinstance(p, str) for p in labels):
-        raise FormatError("domain/codomain must be a label list or a space object")
-    return labels
-
-
 def cmd_extend(args) -> int:
     mode = _mode(args)
     seed = _seed(args)
-    ctx = _fixture_from_args(args, mode, seed)
-    raw = fileio.load_json(args.map)
-    if not isinstance(raw, dict) or "assignment" not in raw:
-        raise FormatError("a map file needs an 'assignment' object")
-    assignment = fileio.assignment_from_obj(raw["assignment"])
+    if args.fixture:
+        ctx = fileio.load_fixture(args.fixture, mode, seed)
+    elif args.n is None or args.k is None:
+        raise FormatError("extend needs --fixture FILE or both --n and --k")
+    else:
+        ctx = build_finite_fixture(args.n, args.k, seed, mode)
+    assignment, labels = fileio.load_extend_map(args.map)
 
     if args.decompose:
         if not args.subset:
@@ -318,19 +280,18 @@ def cmd_extend(args) -> int:
         h = metric_map(ctx.ambient, ctx.ambient, assignment)
         u, v = decompose_automorphism(ctx, member, h)
         check = compose(u, v) == h and all(u(x) == x for x in member)
-        out = {
+        _emit({
             "command": "extend --decompose",
             "ambient": list(ctx.ambient.points),
             "subset": list(member),
             "fixes_subset_pointwise": dict(u.assignment),
             "extends_restriction": dict(v.assignment),
             "pass": bool(check),
-        }
-        _emit(out, args)
+        }, args)
         return 0 if check else 1
 
-    dom = member_space(ctx, _member_labels(raw.get("domain")))
-    cod = member_space(ctx, _member_labels(raw.get("codomain")))
+    dom = member_space(ctx, labels("domain"))
+    cod = member_space(ctx, labels("codomain"))
     phi = metric_map(dom, cod, assignment)
     result = extend_map(ctx, phi)
     hat = result.extension
@@ -350,48 +311,27 @@ def cmd_extend(args) -> int:
 
     cfg = RunConfig(mode=mode, seed=seed, trials=1,
                     n=len(ctx.ambient.points), k=ctx.subset_size)
-    report = Report("extend", cfg, records)
-    out = report.as_dict()
-    out["original"] = dict(phi.assignment)
-    out["conjugate"] = dict(result.conjugate.assignment)
-    out["extension"] = dict(hat.assignment)
-    _emit(out, args)
-    _print_records(out, sys.stderr)
-    return 0 if report.passed else 1
+    return _emit_report(Report("extend", cfg, records), args,
+                        original=dict(phi.assignment),
+                        conjugate=dict(result.conjugate.assignment),
+                        extension=dict(hat.assignment))
 
 
 def cmd_check(args) -> int:
-    mode = _mode(args)
-    cfg = RunConfig(
-        mode=mode,
-        seed=_seed(args),
-        trials=args.trials,
-        n=args.n,
-        k=args.k,
-        inject_glue_defect=args.inject_glue_defect,
-    )
+    cfg = RunConfig(mode=_mode(args), seed=_seed(args), trials=args.trials, n=args.n,
+                    k=args.k, inject_glue_defect=args.inject_glue_defect)
     report = run_suite(args.suite, cfg)
-    _emit(report.as_dict(), args)
-    _print_records(report.as_dict(), sys.stderr)
+    code = _emit_report(report, args)
     print(
         f"check {args.suite}: {'PASS' if report.passed else 'FAIL'} "
         f"({len(report.records)} records, {report.duration:.3f}s)",
         file=sys.stderr,
     )
-    return 0 if report.passed else 1
+    return code
 
 
 def cmd_report(args) -> int:
-    obj = fileio.load_json(args.report)
-    if not isinstance(obj, dict) or "pass" not in obj:
-        raise FormatError("not a report: missing 'pass'")
-    if not isinstance(obj["pass"], bool):
-        raise FormatError("a report's 'pass' must be true or false")
-    records = obj.get("records", [])
-    if not isinstance(records, list) or not all(
-        isinstance(r, dict) and isinstance(r.get("failures", []), list) for r in records
-    ):
-        raise FormatError("a report's 'records' must be a list of objects")
+    obj = fileio.load_report(args.report)
     target = contextlib.nullcontext(sys.stdout) if args.output is None else open(
         args.output, "w", encoding="utf-8")
     with target as stream:

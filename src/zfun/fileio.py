@@ -1,9 +1,9 @@
-"""JSON file formats for spaces, maps and measures.
+"""JSON file formats: spaces, maps, measures, fixtures, extend maps and reports.
 
 Numbers are always serialized as strings ("3/2", "0.25") so exact values
 survive round trips.  Fields holding a sub-object (a map's domain, a measure's
-space) accept either an inline object or a path string, resolved relative to
-the referencing file.
+space, a fixture's ambient) accept either an inline object or a path string,
+resolved relative to the referencing file.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from pathlib import Path
 from .errors import FormatError
 from .kantorovich import LipschitzPotential, TransportPlan
 from .measures import ProbMeasure, prob_measure
-from .numbers import EXACT, Mode, format_number
+from .numbers import EXACT, Mode, format_number, parse_number
+from .scheme import ContinuationContext, build_finite_fixture
 from .spaces import FiniteMetricSpace, MetricMap, metric_map, validate_space
 
 
@@ -24,7 +25,8 @@ def load_json(path: str | Path):
             return json.load(handle)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # bad bytes or syntax, an integer past the string limit, or deep nesting
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -105,6 +107,24 @@ def load_map(
     return map_from_obj(load_json(path), mode, Path(path).parent, parsed)
 
 
+def labels_from_obj(obj, base: Path | None = None) -> list[str]:
+    """The labels of an extend map's domain or codomain: a list or a space object."""
+    obj = _resolve(obj, base)
+    labels = obj.get("points") if isinstance(obj, dict) else obj
+    if not isinstance(labels, list) or not all(isinstance(p, str) for p in labels):
+        raise FormatError("domain/codomain must be a label list or a space object")
+    return labels
+
+
+def load_extend_map(path: str | Path):
+    """An extend map file's assignment, and a reader of its members' labels."""
+    obj = load_json(path)
+    if not isinstance(obj, dict) or "assignment" not in obj:
+        raise FormatError("a map file needs an 'assignment' object")
+    assignment = assignment_from_obj(obj["assignment"])
+    return assignment, lambda key: labels_from_obj(obj.get(key), Path(path).parent)
+
+
 def measure_from_obj(
     obj, mode: Mode = EXACT, base: Path | None = None, parsed: list | None = None
 ) -> ProbMeasure:
@@ -129,6 +149,52 @@ def load_measure(
 ) -> ProbMeasure:
     """A measure file; ``parsed`` shares spaces across calls (:func:`space_from_obj`)."""
     return measure_from_obj(load_json(path), mode, Path(path).parent, parsed)
+
+
+def _fixture_int(desc: dict, key: str, default=None):
+    """``desc[key]`` as an integer (``default`` when absent), or FormatError."""
+    value = desc.get(key, default)
+    if value is None:
+        return None
+    try:
+        number = parse_number(value)
+    except (FormatError, ValueError, OverflowError):
+        number = None
+    if number is None or number.denominator != 1:
+        raise FormatError(f"fixture {key!r} must be an integer, got {value!r}")
+    return int(number)
+
+
+def load_fixture(path: str | Path, mode: Mode, seed: int) -> ContinuationContext:
+    """A fixture file; its ``seed`` defaults to ``seed``, ``ambient`` to a random space."""
+    desc = load_json(path)
+    if not isinstance(desc, dict) or "n" not in desc or "k" not in desc:
+        raise FormatError("a fixture file needs at least 'n' and 'k'")
+    n, k = _fixture_int(desc, "n"), _fixture_int(desc, "k")
+    fixture_seed = _fixture_int(desc, "seed", seed)
+    h_seed = _fixture_int(desc, "h_seed")
+    base = Path(path).parent
+    ambient = space_from_obj(desc["ambient"], mode, base) if "ambient" in desc else None
+    try:
+        return build_finite_fixture(n, k, fixture_seed, mode, ambient=ambient, h_seed=h_seed)
+    except ValueError as exc:  # the fixture names its random streams by these numbers
+        raise FormatError("a fixture's n, k, seed or h_seed has more digits than the "
+                          "integer string conversion limit") from exc
+
+
+def load_report(path: str | Path) -> dict:
+    """A saved report: a boolean ``pass`` and a list of record objects, if any."""
+    obj = load_json(path)
+    if not isinstance(obj, dict) or "pass" not in obj:
+        raise FormatError("not a report: missing 'pass'")
+    if not isinstance(obj["pass"], bool):
+        raise FormatError("a report's 'pass' must be true or false")
+    records = obj.get("records", [])
+    if not isinstance(records, list) or not all(
+        isinstance(r, dict) and isinstance(r.get("failures", []), list) for r in records
+    ):
+        raise FormatError("a report's 'records' must be a list of objects")
+    return obj
 
 
 def potential_to_obj(f: LipschitzPotential) -> dict:

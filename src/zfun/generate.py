@@ -13,7 +13,7 @@ from math import lcm
 from typing import Sequence
 
 from .numbers import EXACT, Mode
-from .spaces import FiniteMetricSpace, MetricMap, metric_map, validate_space
+from .spaces import FiniteMetricSpace, MetricMap, diameter, metric_map, validate_space
 from .measures import ProbMeasure, prob_measure
 from .stepspace import StepFunction, step_function
 
@@ -62,7 +62,7 @@ def random_space(
 
 def normalize_diameter(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Rescale so the diameter is exactly one (space must have >= 2 points)."""
-    top = max(max(row) for row in space.dist)
+    top = diameter(space)
     return validate_space(
         space.points,
         [[v / top for v in row] for row in space.dist],

@@ -120,8 +120,9 @@ def transport_plan(
 ) -> TransportPlan:
     """Validate marginals (and nonnegativity) of a coupling matrix.
 
-    Exact mode puts the entries and both marginals on one integer scale,
-    which keeps every sum and comparison, and checks them as ``int``s.
+    The test runs on :func:`_kernel_numbers`: exact mode puts the entries and
+    both marginals on one integer scale, which keeps every sum and
+    comparison, and checks them as ``int``s; float mode checks the floats.
     """
     if source.space != target.space:
         raise SpaceMismatch("a plan couples measures on one space")
@@ -131,22 +132,19 @@ def transport_plan(
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InvalidWeights(f"plan matrix must be {n}x{n}")
     rows = tuple(tuple(map(mode.convert, row)) for row in matrix)
-    cells = [v for row in rows for v in row]
-    zero = mode.zero
-    mu, nu = source.as_dict(), target.as_dict()
-    a = [mu.get(p, zero) for p in pts]
-    b = [nu.get(q, zero) for q in pts]
-    if mode.is_exact:
-        flat, _ = scaled(cells + a + b)
-        cells, a, b, zero = flat[: n * n], flat[n * n: n * n + n], flat[n * n + n:], 0
+    zero, mu, nu = mode.zero, source.as_dict(), target.as_dict()
+    entries = [v for row in rows for v in row]
+    entries += [mu.get(p, zero) for p in pts] + [nu.get(q, zero) for q in pts]
+    _, _, flat, _, _, _ = _kernel_numbers(source.space, entries)
+    cells, a, b = flat[: n * n], flat[n * n: n * n + n], flat[n * n + n:]
     # mode.leq(0, v), written out: tolerance 0 on the exact ints
     if not all(0 - v <= mode.tolerance for v in cells):
         raise InvalidWeights("plan entries must be nonnegative")
     for i, p in enumerate(pts):
-        if not mode.eq(fold_sum(cells[i * n: i * n + n], zero), a[i]):
+        if not mode.eq(fold_sum(cells[i * n: i * n + n]), a[i]):
             raise InvalidWeights(f"row marginal at {p!r} does not match the source")
     for j, q in enumerate(pts):
-        if not mode.eq(fold_sum(cells[j::n], zero), b[j]):
+        if not mode.eq(fold_sum(cells[j::n]), b[j]):
             raise InvalidWeights(f"column marginal at {q!r} does not match the target")
     return TransportPlan(source, target, rows)
 

@@ -10,6 +10,7 @@ pushforward-by-composition nonexpansive.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -31,10 +32,8 @@ class StepFunction:
         """Value at ``t`` in [0, 1] (the last cell is closed at 1)."""
         if t < 0 or t > 1:
             raise BadParameters(f"argument {t} outside [0, 1]")
-        for i in range(len(self.values)):
-            if t < self.breakpoints[i + 1]:
-                return self.values[i]
-        return self.values[-1]
+        # the cell whose left end is the last breakpoint <= t, bar the final 1
+        return self.values[bisect_right(self.breakpoints, t, 0, len(self.values)) - 1]
 
 
 def step_function(

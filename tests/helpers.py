@@ -121,6 +121,28 @@ def reference_metric_violations(points, dist, mode=EXACT):
     return bad
 
 
+def reference_shrink(points, matrix, mode=EXACT):
+    """The restart loop ``suites.shrink_matrix_violation`` ran before it made
+    one ordered pass, kept as an oracle on :func:`reference_metric_violations`:
+    drop the first point whose removal leaves a violation, then start over."""
+    def violations_of(sub):
+        return reference_metric_violations(
+            [points[i] for i in sub], [[matrix[i][j] for j in sub] for i in sub], mode)
+
+    current = list(range(len(points)))
+    changed = True
+    while changed and len(current) > 1:
+        changed = False
+        for i in current:
+            cand = [j for j in current if j != i]
+            if violations_of(cand):
+                current = cand
+                changed = True
+                break
+    found = violations_of(current)
+    return tuple(points[i] for i in current), found[0][0] if found else "none"
+
+
 # ---------------------------------------------------------------------------
 # reference random metric on Fractions
 

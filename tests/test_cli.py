@@ -497,7 +497,8 @@ class TestHugeDistances:
 
     # an error message that quotes such a number: a weights total, a
     # negative weight, an anchor's diameter, a fixture size, and the size an
-    # ambient space should have; each still names its field and its rule
+    # ambient space should have; each still names its field and its rule. A
+    # fixture number too large to name a random stream gets one line too.
     QUOTED = {
         "s.json": {"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]},
         "tiny.json": {"space": "s.json", "weights": {"a": "1e-5000"}},
@@ -505,6 +506,9 @@ class TestHugeDistances:
         "big.json": {"points": ["x", "y"], "dist": [["0", "1e5000"], ["1e5000", "0"]]},
         "fx.json": {"n": 4, "k": "1e5000"},
         "fxa.json": {"n": "1e5000", "k": 1, "ambient": "s.json"},
+        "fxn.json": {"n": "1e5000", "k": 1},
+        "fxs.json": {"n": 4, "k": 2, "seed": "1e5000"},
+        "fxh.json": {"n": 4, "k": 2, "h_seed": "1e5000"},
         "m.json": {"domain": ["x0"], "codomain": ["x0"], "assignment": {"x0": "x0"}},
     }
 
@@ -517,8 +521,12 @@ class TestHugeDistances:
          "anchor diameter is {huge}, expected exactly 1"),
         (("extend", "m.json", "--fixture", "fx.json"), "need 1 <= k <= n/2, got n=4, k={huge}"),
         (("extend", "m.json", "--fixture", "fxa.json"), "ambient has 2 points, expected {huge}"),
+        # the fixture's random streams are named by its numbers
+        *((("extend", "m.json", "--fixture", name), "a fixture's n, k, seed or h_seed has "
+           "more digits than the integer string conversion limit")
+          for name in ("fxn.json", "fxs.json", "fxh.json")),
     ], ids=["weights-total", "negative-weight", "anchor-diameter", "fixture-size",
-            "ambient-size"])
+            "ambient-size", "stream-n", "stream-seed", "stream-h_seed"])
     def test_a_number_too_large_to_quote_exits_two(self, tmp_path, args, message):
         for name, obj in self.QUOTED.items():
             (tmp_path / name).write_text(json.dumps(obj))
@@ -615,6 +623,26 @@ class TestExtend:
             "name": "extension-restricts", "tag": "(b)", "instances": "2",
             "failures": [{"instance": "0", "point": "x0", "original": "x3", "extended": "x0"}],
         }]
+
+    @pytest.mark.parametrize("cwd", ["maps", ".", "elsewhere"])
+    def test_domain_and_codomain_may_be_paths(self, tmp_path, monkeypatch, capsys, cwd):
+        # README's map shape: each path resolves against the map file
+        maps = tmp_path / "maps"
+        maps.mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        (maps / "dom.json").write_text(json.dumps(["x0", "x1"]))
+        (maps / "cod.json").write_text(json.dumps(
+            {"points": ["x2", "x3"], "dist": [["0", "1"], ["1", "0"]]}))
+        (maps / "map.json").write_text(json.dumps({
+            "domain": "dom.json", "codomain": "cod.json",
+            "assignment": {"x0": "x3", "x1": "x2"},
+        }))
+        monkeypatch.chdir(tmp_path / cwd)
+        code = cli.main(["extend", os.path.relpath(maps / "map.json"), "--n", "4", "--k", "2"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["original"] == {"x0": "x3", "x1": "x2"}
+        assert payload["extension"]["x0"] == "x3"
 
     def test_fixture_file(self, tmp_path):
         self.setup_files(tmp_path)

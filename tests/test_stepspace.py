@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zfun import (
+    EXACT,
     BadN,
     BadParameters,
     TargetMismatch,
@@ -15,6 +16,7 @@ from zfun import (
     compose_pushforward,
     diameter,
     dirac_const,
+    float_mode,
     integral_metric,
     metric_map,
     phi_n_witness,
@@ -59,6 +61,22 @@ class TestConstruction:
         assert f(1) == "b"  # the last cell is closed at 1
         with pytest.raises(BadParameters):
             f(Fraction(3, 2))
+
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    def test_lookup_matches_a_linear_scan(self, mode):
+        # at every breakpoint (0 and 1 among them) and between each two
+        def scan(f, t):
+            for i in range(len(f.values)):
+                if t < f.breakpoints[i + 1]:
+                    return f.values[i]
+            return f.values[-1]
+
+        rng = rng_for(8, "step-lookup")
+        for _ in range(100):
+            f = random_step_function(rng, random_space(rng, rng.randint(1, 4), mode=mode))
+            bps = f.breakpoints
+            for t in bps + tuple((a + b) / 2 for a, b in zip(bps, bps[1:])):
+                assert f(t) == scan(f, t)
 
     @settings(derandomize=True, max_examples=150)
     @given(

@@ -4,6 +4,7 @@ shrinking."""
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,11 @@ from zfun import (
     Report,
     RunConfig,
     float_mode,
+    generate,
     run_suite,
     suites,
 )
+from zfun.generate import rng_for
 from zfun.kantorovich import kantorovich
 from zfun.measures import dirac
 from zfun.scheme import ExtensionResult
@@ -29,6 +32,8 @@ from zfun.suites import (
     shrink_matrix_violation,
 )
 from zfun.spaces import glue_map, metric_map, sup_distance
+
+from helpers import reference_metric_violations, reference_random_distances, reference_shrink
 
 
 def small_cfg(**kw) -> RunConfig:
@@ -247,7 +252,41 @@ class TestReportShape:
             small_cfg(trials=0)
 
 
+class TestRandomStreams:
+    def test_the_registry_makes_every_stream_a_check_draws_from(self, monkeypatch):
+        callers = set()
+        real = generate.rng_for
+
+        def recording(seed, label):
+            callers.add(sys._getframe(1).f_code)
+            return real(seed, label)
+
+        monkeypatch.setattr(generate, "rng_for", recording)
+        run_suite("scheme", small_cfg(trials=2))
+        assert callers == {suites._Check.run.__code__}
+
+
 class TestShrinking:
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    def test_one_pass_finds_the_restart_loops_core(self, mode):
+        # about 200 small matrices with one to three corrupted entries each
+        rng = rng_for(5, "shrink-oracle")
+        seen = 0
+        while seen < 200:
+            n = rng.randint(2, 6)
+            d = reference_random_distances(rng, n)
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                d[i][j] = rng.choice([Fraction(0), Fraction(-1), Fraction(99),
+                                      Fraction(rng.randint(1, 40), rng.randint(1, 8))])
+            matrix = [[mode.convert(v) for v in row] for row in d]
+            points = tuple(f"p{i}" for i in range(n))
+            if not reference_metric_violations(points, matrix, mode):
+                continue
+            seen += 1
+            assert (shrink_matrix_violation(points, matrix, mode)
+                    == reference_shrink(points, matrix, mode)), matrix
+
     def test_shrink_matrix_violation_finds_minimal_core(self):
         # four points, only one broken triangle among x,y,z
         points = ("w", "x", "y", "z")
