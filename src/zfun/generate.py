@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
+from operator import truediv
 from typing import Sequence
 
 from .numbers import EXACT, Mode
@@ -37,7 +38,8 @@ def random_space(
 
     Draws a symmetric positive weight matrix and closes it under shortest
     paths, which repairs every triangle violation while keeping positivity.
-    The closure runs on one integer lattice, which an exact space keeps.
+    The closure runs on one integer lattice, which an exact space keeps; a
+    float space takes each ``d / scale``, the double nearest the Fraction.
     """
     pts = tuple(labels) if labels is not None else tuple(f"{prefix}{i}" for i in range(size))
     n = len(pts)
@@ -53,9 +55,10 @@ def random_space(
             for j, dkj in enumerate(row_k):
                 if dik + dkj < row_i[j]:
                     row_i[j] = dik + dkj
-    matrix = [[EXACT.zero] * n for _ in range(n)]
+    ratio = Fraction if mode.is_exact else truediv
+    matrix = [[mode.zero] * n for _ in range(n)]
     for i, j in pairs:
-        matrix[i][j] = matrix[j][i] = Fraction(d[i][j], scale)
+        matrix[i][j] = matrix[j][i] = ratio(d[i][j], scale)
     lattice = (tuple(map(tuple, d)), scale) if mode.is_exact else None
     return validate_space(pts, tuple(map(tuple, matrix)), mode, lattice=lattice)
 
@@ -73,7 +76,10 @@ def normalize_diameter(space: FiniteMetricSpace) -> FiniteMetricSpace:
 def random_measure(
     rng: random.Random, space: FiniteMetricSpace, *, full_support: bool = False
 ) -> ProbMeasure:
-    """Random rational weights totalling exactly one (possibly sparse)."""
+    """Random rational weights totalling exactly one (possibly sparse).
+
+    A float space takes each ``w / total``, the double nearest the Fraction.
+    """
     n = len(space.points)
     while True:
         raw = [
@@ -83,7 +89,8 @@ def random_measure(
         total = sum(raw)
         if total > 0:
             break
-    weights = {p: Fraction(w, total) for p, w in zip(space.points, raw) if w}
+    ratio = Fraction if space.mode.is_exact else truediv
+    weights = {p: ratio(w, total) for p, w in zip(space.points, raw) if w}
     return prob_measure(space, weights)
 
 

@@ -8,11 +8,11 @@ so exact values survive round trips.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import isfinite, lcm
-from operator import add
+from operator import add, truediv
 from typing import Union
 
 from .errors import FormatError
@@ -27,6 +27,21 @@ _ZERO, _ONE = Fraction(0), Fraction(1)  # shared: Fractions are immutable
 _PLAIN_RATIO = re.compile(r"([0-9]+)/([0-9]+)")
 
 
+def _read_string(value: str, divide) -> Num:
+    """``divide(int(p), int(q))`` for a plain ASCII ``"p/q"``, else ``Fraction(value)``.
+
+    Either way the grammar is ``Fraction``'s: a string it rejects, or a zero
+    denominator, raises FormatError.
+    """
+    try:
+        plain = _PLAIN_RATIO.fullmatch(value)
+        if plain:
+            return divide(int(plain[1]), int(plain[2]))
+        return Fraction(value.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"not a rational: {value!r}") from exc
+
+
 def parse_number(value) -> Fraction:
     """Parse a rational from a string ("3/2", "0.25", "7"), int, float or Fraction.
 
@@ -34,13 +49,7 @@ def parse_number(value) -> Fraction:
     parser for two ``int`` calls.
     """
     if isinstance(value, str):
-        try:
-            plain = _PLAIN_RATIO.fullmatch(value)
-            if plain:
-                return Fraction(int(plain[1]), int(plain[2]))
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"not a rational: {value!r}") from exc
+        return _read_string(value, Fraction)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -111,38 +120,37 @@ class Mode:
 
     kind: str
     tolerance: float = 0.0
+    # derived from ``kind`` once; no part of equality, hashing or ``repr``
+    is_exact: bool = field(init=False, repr=False, compare=False)
+    zero: Num = field(init=False, repr=False, compare=False)
+    one: Num = field(init=False, repr=False, compare=False)
+    #: zero threshold used inside solvers (tighter than the reporting tolerance)
+    pivot_eps: Num = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("exact", "float"):
             raise ValueError(f"unknown mode {self.kind!r}")
         if self.kind == "float" and not self.tolerance > 0:
             raise ValueError("float mode requires a positive tolerance")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "exact"
-
-    @property
-    def pivot_eps(self) -> Num:
-        """Zero threshold used inside solvers (tighter than the reporting tolerance)."""
-        return _ZERO if self.is_exact else 1e-12
-
-    @property
-    def zero(self) -> Num:
-        return _ZERO if self.is_exact else 0.0
-
-    @property
-    def one(self) -> Num:
-        return _ONE if self.is_exact else 1.0
+        exact = self.kind == "exact"
+        object.__setattr__(self, "is_exact", exact)
+        object.__setattr__(self, "zero", _ZERO if exact else 0.0)
+        object.__setattr__(self, "one", _ONE if exact else 1.0)
+        object.__setattr__(self, "pivot_eps", _ZERO if exact else 1e-12)
 
     def convert(self, value) -> Num:
-        if isinstance(value, float) and isfinite(value) and not self.is_exact:
-            return value
-        q = value if isinstance(value, Fraction) else parse_number(value)
+        """``value`` as this mode's number: a Fraction, or the double nearest it.
+
+        Float mode reads a plain ``"p/q"`` as ``int(p) / int(q)``, which is
+        correctly rounded, so it never builds the Fraction.
+        """
         if self.is_exact:
-            return q
+            return value if isinstance(value, Fraction) else parse_number(value)
+        if isinstance(value, float) and isfinite(value):
+            return value
         try:
-            return q.numerator / q.denominator  # what float(q) computes
+            q = _read_string(value, truediv) if isinstance(value, str) else parse_number(value)
+            return q if isinstance(q, float) else q.numerator / q.denominator  # float(q)
         except OverflowError as exc:
             raise FormatError(f"too large for float mode: {value!r}") from exc
 

@@ -98,6 +98,9 @@ def metric_violations(
     ``d(i, k) - d(j, k) > d(i, j)``; float mode scans the floats as given.
     Each test is written as ``not (x <= tol)`` or ``not (x > tol)``, the
     comparisons of :class:`Mode`, so a NaN is a violation in float mode.
+    On a float matrix equal to its transpose, (k, j, i) computes the same
+    double as (i, j, k), as addition commutes, so the scan tests i < k first
+    and walks every ordered triple only when one of those fails.
     """
     n, exact = len(points), mode.is_exact
     if exact and not set(map(type, chain.from_iterable(dist))) <= {int}:
@@ -110,6 +113,8 @@ def metric_violations(
             bad.append(("symmetry", (points[i], points[j])))
         if not d[i][j] > tol:
             bad.append(("positivity", (points[i], points[j])))
+    if not exact and _half_walk_holds(d, tol):
+        return bad
     for i, row_i in enumerate(d):
         for j, row_j in enumerate(d):
             if i == j or exact and max(map(sub, row_i, row_j)) <= row_i[j]:
@@ -119,6 +124,23 @@ def metric_violations(
                 if not dik - (dij + djk) <= tol and k != i and k != j:
                     bad.append(("triangle", (points[i], points[j], points[k])))
     return bad
+
+
+def _half_walk_holds(d, tol) -> bool:
+    """Whether ``d`` equals its transpose and every triangle (i, j, k) with
+    i < k holds: ``d(i, k) - (d(i, j) + d(j, k)) <= tol``."""
+    if tuple(map(tuple, d)) != tuple(zip(*d)):
+        return False
+    n = len(d)
+    for i, row_i in enumerate(d):
+        for j, row_j in enumerate(d):
+            if i == j:
+                continue
+            dij = row_i[j]
+            for k in range(i + 1, n):
+                if not row_i[k] - (dij + row_j[k]) <= tol and k != j:
+                    return False
+    return True
 
 
 def validate_space(

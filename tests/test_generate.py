@@ -1,9 +1,11 @@
-"""Seeded generators: ``random_space`` against a Fraction Floyd–Warshall."""
+"""Seeded generators: ``random_space`` against a Fraction Floyd–Warshall, and
+float ``random_measure`` against the exact draw."""
 
 import pytest
 
 from zfun import EXACT, float_mode
-from zfun.generate import random_space, rng_for
+from zfun.generate import random_measure, random_space, rng_for
+from zfun.measures import prob_measure
 
 from helpers import reference_random_distances
 
@@ -23,3 +25,24 @@ def test_random_space_matches_the_fraction_closure(mode, draws):
         )
         assert repr(space.dist) == repr(expected), (seed, size)
         assert rng.random() == ref_rng.random(), (seed, size)
+
+
+@pytest.mark.parametrize("full_support", [False, True], ids=["sparse", "full"])
+def test_float_random_measure_rounds_the_exact_weights(full_support):
+    """Float weights are the doubles of the exact draw's ``Fraction(w, total)``
+    after ``prob_measure``, to the repr, and the stream is left where the exact
+    draw leaves it."""
+    mode = float_mode()
+    drifted = 0
+    for seed in range(256):
+        size = 1 + seed % 12
+        rng, ref_rng = rng_for(seed, "random-measure"), rng_for(seed, "random-measure")
+        space, exact_space = random_space(rng, size, mode=mode), random_space(ref_rng, size)
+        mu = random_measure(rng, space, full_support=full_support)
+        ref = random_measure(ref_rng, exact_space, full_support=full_support)
+        expected = prob_measure(space, {p: float(q) for p, q in ref.weights})
+        assert repr(mu.weights) == repr(expected.weights), (seed, size)
+        assert mu.drift == expected.drift, (seed, size)
+        assert rng.random() == ref_rng.random(), (seed, size)
+        drifted += mu.drift != 0
+    assert drifted  # some totals round off one, so the renormalization is covered

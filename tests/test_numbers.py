@@ -1,5 +1,6 @@
 """Number parsing, serialization and comparison-mode behavior."""
 
+import dataclasses
 import math
 import random
 import sys
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from zfun import EXACT, FormatError, float_mode, format_number, parse_number
 from zfun.numbers import Mode, mode_from_name
+from zfun.suites import Report, RunConfig
 
 
 class TestParseNumber:
@@ -162,6 +164,83 @@ class TestModes:
             Mode("decimal")
         with pytest.raises(ValueError):
             Mode("float", 0.0)
+
+
+class TestModeFields:
+    """``is_exact``, ``zero``, ``one`` and ``pivot_eps`` are set once from
+    ``kind`` and take no part in equality, hashing, ``repr`` or the report."""
+
+    MODES = [EXACT, float_mode(), float_mode(1e-3)]
+
+    @pytest.mark.parametrize("mode", MODES, ids=["exact", "float", "float-1e-3"])
+    def test_equality_hash_and_repr_see_kind_and_tolerance_only(self, mode):
+        twin = Mode(mode.kind, mode.tolerance)
+        assert twin == mode and twin is not mode
+        assert hash(mode) == hash(twin) == hash((mode.kind, mode.tolerance))
+        assert repr(mode) == f"Mode(kind={mode.kind!r}, tolerance={mode.tolerance!r})"
+        assert [f.name for f in dataclasses.fields(Mode) if f.init] == ["kind", "tolerance"]
+
+    def test_replace_derives_the_fields_again(self):
+        as_float = dataclasses.replace(EXACT, kind="float", tolerance=1e-6)
+        assert as_float == float_mode(1e-6)
+        assert (as_float.is_exact, as_float.zero, as_float.one, as_float.pivot_eps) == (
+            False, 0.0, 1.0, 1e-12)
+        assert all(type(v) is float for v in (as_float.zero, as_float.one, as_float.pivot_eps))
+        as_exact = dataclasses.replace(as_float, kind="exact", tolerance=0.0)
+        assert as_exact == EXACT and as_exact.is_exact
+        assert all(type(v) is Fraction for v in (as_exact.zero, as_exact.one, as_exact.pivot_eps))
+        with pytest.raises((ValueError, TypeError)):  # TypeError from 3.13 on
+            dataclasses.replace(EXACT, is_exact=False)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            EXACT.is_exact = False
+
+    def test_report_config_bytes(self):
+        assert Report("check all", RunConfig(mode=float_mode(1e-3), seed=7), []).to_json() == (
+            '{\n  "command": "check all",\n  "config": {\n    "mode": "float",\n'
+            '    "seed": "7",\n    "trials": "100",\n    "n": "4",\n    "k": "2",\n'
+            '    "tolerance": "0.001"\n  },\n  "records": [],\n  "pass": true\n}\n'
+        )
+        assert Report("check all", RunConfig(), []).to_json() == (
+            '{\n  "command": "check all",\n  "config": {\n    "mode": "exact",\n'
+            '    "seed": "0",\n    "trials": "100",\n    "n": "4",\n    "k": "2"\n'
+            '  },\n  "records": [],\n  "pass": true\n}\n'
+        )
+
+
+class TestFloatConvertOfPlainRatios:
+    """Float mode reads a plain ``"p/q"`` as ``int(p) / int(q)``: the double
+    of ``Fraction(p, q)``, and the errors the Fraction path raised."""
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.integers(8, 1100), st.integers(8, 1100), st.randoms(use_true_random=False))
+    def test_the_double_of_the_fraction(self, p_bits, q_bits, rng):
+        p = rng.getrandbits(p_bits)
+        q = rng.getrandbits(q_bits) | 1
+        try:
+            expected = float(Fraction(p, q))
+        except OverflowError:
+            with pytest.raises(FormatError, match="too large for float mode"):
+                float_mode().convert(f"{p}/{q}")
+        else:
+            assert float_mode().convert(f"{p}/{q}").hex() == expected.hex()
+
+    @pytest.mark.parametrize("s, value", [("0/7", 0.0), ("03/004", 0.75)])
+    def test_zero_and_leading_zeros(self, s, value):
+        got = float_mode().convert(s)
+        assert type(got) is float and got.hex() == value.hex()
+
+    @pytest.mark.parametrize("s, message, cause", [
+        ("1/0", "not a rational: '1/0'", ZeroDivisionError),
+        ("1" * 5001 + "/2", "not a rational: '" + "1" * 5001 + "/2'", ValueError),
+        ("2/" + "1" * 5001, "not a rational: '2/" + "1" * 5001 + "'", ValueError),
+        ("18" + "0" * 307 + "/1", "too large for float mode: '18" + "0" * 307 + "/1'",
+         OverflowError),
+    ], ids=["zero-denominator", "long-numerator", "long-denominator", "past-1.8e308"])
+    def test_errors(self, s, message, cause):
+        with pytest.raises(FormatError) as info:
+            float_mode().convert(s)
+        assert str(info.value) == message
+        assert type(info.value.__cause__) is cause
 
 
 class TestConvertDirectPath:

@@ -228,6 +228,57 @@ class TestScanMatchesReference:
             got = metric_violations(pts, d, mode)
             assert got and got == reference_metric_violations(pts, d, mode)
 
+    @staticmethod
+    def line(n):
+        """The float metric |i - j| on n points; every collinear triangle is tight."""
+        return [[float(abs(i - j)) for j in range(n)] for i in range(n)]
+
+    @classmethod
+    def half_walk_cases(cls, tol):
+        """Float matrices around the i < k walk of an exactly symmetric matrix:
+        ``(name, matrix, triangles the scan must list or None for any)``."""
+        edge = 2.0 + tol  # the largest double e with e - 2.0 <= tol, and the next
+        while edge - 2.0 > tol:
+            edge = math.nextafter(edge, -math.inf)
+        while math.nextafter(edge, math.inf) - 2.0 <= tol:
+            edge = math.nextafter(edge, math.inf)
+        past = math.nextafter(edge, math.inf)
+        cases = []
+        for (i, k), value in (((0, 3), 3.5), ((2, 3), 3.5), ((0, 1), 3.5)):
+            d = cls.line(4)
+            d[i][k] = d[k][i] = value
+            cases.append((f"symmetric-break-{i}{k}", d, None))
+        d = cls.line(3)
+        d[0][2] = d[2][0] = past
+        cases.append(("symmetric-one-ulp-past", d, [("p0", "p1", "p2"), ("p2", "p1", "p0")]))
+        for name, upper, lower, bad in (
+            ("ulp-off-below", edge, past, [("p2", "p1", "p0")]),
+            ("ulp-off-above", past, edge, [("p0", "p1", "p2")]),
+            ("asymmetric-above", 3.0, 2.0, [("p0", "p1", "p2")]),
+            ("asymmetric-below", 2.0, 3.0, [("p2", "p1", "p0")]),
+        ):
+            d = cls.line(3)
+            d[0][2], d[2][0] = upper, lower
+            cases.append((name, d, bad))
+        d = cls.line(4)
+        d[1][3] = d[3][1] = math.nan
+        cases.append(("nan-both-sides", d, None))
+        d = cls.line(4)
+        d[3][1] = math.nan
+        cases.append(("nan-below", d, None))
+        return cases
+
+    @pytest.mark.parametrize("rows", [list, tuple])
+    @pytest.mark.parametrize("mode", MODES[1:], ids=["float", "float-1e-3"])
+    def test_the_i_below_k_walk_of_a_symmetric_matrix(self, mode, rows):
+        for name, d, bad in self.half_walk_cases(mode.tolerance):
+            d = rows(map(rows, d))
+            pts = [f"p{i}" for i in range(len(d))]
+            expected = reference_metric_violations(pts, d, mode)
+            assert metric_violations(pts, d, mode) == expected, name
+            triangles = [w for axiom, w in expected if axiom == "triangle"]
+            assert triangles == bad if bad is not None else triangles, name
+
     def test_int_and_float_entries_in_exact_mode(self):
         # Quarters add exactly in floats, so the reference's float sums agree
         # with exact ones; a sum that rounds is the next test.
