@@ -120,7 +120,7 @@ class Mode:
 
     kind: str
     tolerance: float = 0.0
-    # derived from ``kind`` once; no part of equality, hashing or ``repr``
+    # set from ``kind`` in ``__post_init__``
     is_exact: bool = field(init=False, repr=False, compare=False)
     zero: Num = field(init=False, repr=False, compare=False)
     one: Num = field(init=False, repr=False, compare=False)
