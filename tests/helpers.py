@@ -2,22 +2,35 @@
 
 Everything here re-derives answers from first principles — plain Fraction
 arithmetic and exhaustive enumeration — so library results are checked against
-code that shares none of the implementation under test.
+code that shares none of the implementation under test.  The two CLI runners
+at the end run ``zfun`` in this process or, where the process itself is
+under test, in a child.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import logging
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import zfun
 from zfun import (
     EXACT,
     BadParameters,
     FiniteMetricSpace,
     ProbMeasure,
     SolverFailure,
+    cli,
     metric_map,
     prob_measure,
     validate_space,
@@ -563,3 +576,54 @@ def reference_transport_simplex(costs, supply, demand, eps, zero, max_pivots=100
                 flow[cell] = flow[cell] - theta
         del flow[leaving]
     raise AssertionError("pivot budget exhausted")
+
+
+# ---------------------------------------------------------------------------
+# CLI runners
+
+
+def run_cli(*args, env_extra=None, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``cli.main(args)`` in this process as a ``python -m zfun`` child would:
+    in ``cwd``, without ``ZFUN_SEED``, with ``env_extra``, all restored afterwards.
+    Both streams are captured, and so is the ``zfun`` log, which pytest's own
+    handlers would otherwise take from a crashed check."""
+    out, err = io.StringIO(), io.StringIO()
+    log = logging.StreamHandler(err)
+    log.setFormatter(logging.Formatter("%(message)s"))
+    logging.getLogger("zfun").addHandler(log)
+    home = os.getcwd()
+    try:
+        with (mock.patch.dict(os.environ), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
+            os.environ.pop("ZFUN_SEED", None)
+            os.environ.update(env_extra or {})
+            os.chdir(cwd or home)
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:  # argparse: 2 for a usage error, 0 after --help
+                code = exc.code
+    finally:
+        os.chdir(home)
+        logging.getLogger("zfun").removeHandler(log)
+    return subprocess.CompletedProcess(["zfun", *args], code, out.getvalue(), err.getvalue())
+
+
+# The directory holding the zfun package under test. Child processes run in
+# temp directories, where a relative PYTHONPATH such as ``src`` no longer
+# resolves, so this absolute path goes first on theirs.
+PACKAGE_ROOT = str(Path(zfun.__file__).resolve().parents[1])
+NO_ZFUN = re.compile(r"No module named '?zfun\b")
+
+
+def run_child(*args, cwd=None) -> subprocess.CompletedProcess:
+    """``python -m zfun *args`` in a child process, without ``ZFUN_SEED``."""
+    env = dict(os.environ)
+    env.pop("ZFUN_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "zfun", *args],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+    # An import failure exits 1, the same code as a failed check, so it must
+    # not reach the assertions.
+    if NO_ZFUN.search(proc.stderr):
+        pytest.fail(f"child process could not import zfun:\n{proc.stderr}")
+    return proc

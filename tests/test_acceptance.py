@@ -8,8 +8,6 @@ measured quantities (shown when capture is off or on failure).
 import hashlib
 import itertools
 import json
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -53,7 +51,7 @@ from zfun.generate import (
     rng_for,
 )
 
-from helpers import all_maps, compositions, space_ab, space_abc
+from helpers import all_maps, compositions, run_child, space_ab, space_abc
 
 
 def announce(number: int, detail: str) -> None:
@@ -380,21 +378,7 @@ def test_criterion_9_check_all_is_byte_reproducible_and_fast(tmp_path):
     durations = []
     for name in ("first.json", "second.json"):
         start = time.monotonic()
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "zfun",
-                "check",
-                "all",
-                "--seed",
-                "42",
-                "--output",
-                str(tmp_path / name),
-            ],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child("check", "all", "--seed", "42", "--output", name, cwd=tmp_path)
         durations.append(time.monotonic() - start)
         assert proc.returncode == 0, proc.stderr
         outputs.append((tmp_path / name).read_bytes())

@@ -5,24 +5,15 @@ import hashlib
 import json
 import os
 import re
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import zfun
-from zfun import cli, fileio, identity_map, scheme
+from zfun import cli, fileio, identity_map, scheme, suites
 from zfun.generate import random_measure, random_space, rng_for
 
-from helpers import million_draws
-
-# The directory holding the zfun package under test. Child processes run in
-# temp directories, where a relative PYTHONPATH such as ``src`` no longer
-# resolves, so this absolute path goes first on theirs.
-PACKAGE_ROOT = str(Path(zfun.__file__).resolve().parents[1])
-NO_ZFUN = re.compile(r"No module named '?zfun\b")
+from helpers import million_draws, run_child, run_cli
 
 SPACE = {
     "points": ["a", "b", "c"],
@@ -32,28 +23,6 @@ BROKEN_SPACE = {
     "points": ["a", "b", "c"],
     "dist": [["0", "5", "1"], ["5", "0", "1/2"], ["1", "1/2", "0"]],
 }
-
-
-def run_cli(*args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    env.pop("ZFUN_SEED", None)
-    if env_extra:
-        env.update(env_extra)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "zfun", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=cwd,
-    )
-    # An import failure exits 1, the same code as a failed check, so it must
-    # not reach the assertions.
-    if NO_ZFUN.search(proc.stderr):
-        pytest.fail(f"child process could not import zfun:\n{proc.stderr}")
-    return proc
 
 
 @pytest.fixture()
@@ -479,15 +448,23 @@ class TestHugeDistances:
                 json.dumps({"space": "s.json", "weights": {p: "1"}})
             )
 
+    @pytest.fixture()
+    def default_limit(self):
+        """The default integer string limit of 4300 digits, whatever this
+        process started with."""
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(saved)
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this interpreter has no integer string limit")
     @pytest.mark.parametrize("args", [("glue", "s.json"), ("dist", "a.json", "b.json")],
                              ids=["glue", "dist"])
-    def test_a_number_too_large_to_write_exits_two(self, tmp_path, args):
+    def test_a_number_too_large_to_write_exits_two(self, tmp_path, default_limit, args):
         self.setup_files(tmp_path, "1e5000")
-        limit = {"PYTHONINTMAXSTRDIGITS": "4300"}
-        assert run_cli("validate", "s.json", env_extra=limit, cwd=tmp_path).returncode == 0
-        proc = run_cli(*args, env_extra=limit, cwd=tmp_path)
+        assert run_cli("validate", "s.json", cwd=tmp_path).returncode == 0
+        proc = run_cli(*args, cwd=tmp_path)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.strip().splitlines() == [
@@ -527,10 +504,11 @@ class TestHugeDistances:
           for name in ("fxn.json", "fxs.json", "fxh.json")),
     ], ids=["weights-total", "negative-weight", "anchor-diameter", "fixture-size",
             "ambient-size", "stream-n", "stream-seed", "stream-h_seed"])
-    def test_a_number_too_large_to_quote_exits_two(self, tmp_path, args, message):
+    def test_a_number_too_large_to_quote_exits_two(self, tmp_path, default_limit, args,
+                                                   message):
         for name, obj in self.QUOTED.items():
             (tmp_path / name).write_text(json.dumps(obj))
-        proc = run_cli(*args, env_extra={"PYTHONINTMAXSTRDIGITS": "4300"}, cwd=tmp_path)
+        proc = run_cli(*args, cwd=tmp_path)
         assert proc.returncode == 2
         assert proc.stdout == ""
         huge = "<more digits than the integer string conversion limit>"
@@ -801,6 +779,20 @@ class TestCheck:
         proc = run_cli("check", "nonsense", cwd=tmp_path)
         assert proc.returncode == 2
 
+    def test_a_crashed_check_prints_its_traceback_to_stderr(self, tmp_path, monkeypatch):
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        first, *rest = suites._CHECKS["metric"]
+        monkeypatch.setitem(suites._CHECKS, "metric",
+                            [dataclasses.replace(first, body=crash), *rest])
+        proc = run_cli("check", "metric", "--trials", "1", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "check axiom-detection raised" in proc.stderr
+        assert "Traceback" in proc.stderr
+        record = json.loads(proc.stdout)["records"][0]
+        assert record["failures"] == [{"instance": "0", "error": "RuntimeError: boom"}]
+
 
 class TestReport:
     def test_round_trip(self, tmp_path):
@@ -915,8 +907,8 @@ class TestRepeatedMain:
         assert written["mode"] == "float" and list(written["certificate"]) == ["plan"]
         assert capsys.readouterr().out == ""
         assert cli.main(["dist", mu, nu]) == 0
-        assert capsys.readouterr().out == run_cli("dist", "mu.json", "nu.json",
-                                                  cwd=workdir).stdout
+        assert capsys.readouterr().out == run_child("dist", "mu.json", "nu.json",
+                                                    cwd=workdir).stdout
 
     def test_a_usage_error_does_not_break_the_next_call(self, workdir, capsys):
         mu, nu = str(workdir / "mu.json"), str(workdir / "nu.json")
@@ -931,3 +923,42 @@ class TestRepeatedMain:
             monkeypatch.setenv("ZFUN_SEED", seed)
             assert cli.main(["check", "metric", "--trials", "1"]) == 0
             assert json.loads(capsys.readouterr().out)["config"]["seed"] == seed
+
+
+class TestChildProcess:
+    """``python -m zfun`` as users run it: the process exits with the code
+    ``cli.main`` returns and prints an ``error:`` line only for exit 2."""
+
+    @pytest.mark.parametrize("name, code", [("space.json", 0), ("broken.json", 1),
+                                            ("nope.json", 2)])
+    def test_the_exit_code_reaches_the_shell(self, workdir, name, code):
+        proc = run_child("validate", name, cwd=workdir)
+        assert proc.returncode == code
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == (1 if code == 2 else 0)
+
+
+class TestRunCli:
+    """The in-process runner leaves this process as it found it."""
+
+    @pytest.mark.parametrize("args, code", [
+        (("dist", "mu.json", "nu.json", "--certificate", "neither"), 2),
+        (("validate", "nope.json"), 2),
+        (("--help",), 0),
+    ], ids=["usage-error", "zfun-error", "help"])
+    def test_the_process_is_restored(self, workdir, args, code):
+        def state():
+            return (os.getcwd(), dict(os.environ),
+                    getattr(sys, "get_int_max_str_digits", lambda: None)())
+
+        before = state()
+        proc = run_cli(*args, env_extra={"ZFUN_SEED": "3", "ZFUN_TEST_EXTRA": "1"},
+                       cwd=workdir)
+        assert proc.returncode == code
+        assert state() == before
+
+    def test_a_seed_in_this_process_does_not_reach_the_call(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ZFUN_SEED", "9")
+        proc = run_cli("check", "metric", "--trials", "1", cwd=tmp_path)
+        assert json.loads(proc.stdout)["config"]["seed"] == "0"
+        assert os.environ["ZFUN_SEED"] == "9"

@@ -7,9 +7,7 @@ fixture, extend map, bijection or report; the byte-level files are not JSON
 at all.
 """
 
-import contextlib
 import copy
-import io
 import json
 import sys
 
@@ -17,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zfun import cli
+from helpers import run_cli
 
 SPACE = {  # diameter 1, so it is also an anchor
     "points": ["a", "b", "c"],
@@ -108,12 +106,9 @@ def workdir(tmp_path_factory):
 def _run(workdir, command, content: bytes, mode: str):
     """``cli.main`` on ``command`` with FILE holding ``content``: code, stderr."""
     (workdir / "input.json").write_bytes(content)
-    argv = [str(workdir / "input.json") if a == "FILE" else
-            str(workdir / a) if a.endswith(".json") else a for a in command]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(argv + ["--mode", mode])
-    return code, err.getvalue()
+    argv = ["input.json" if a == "FILE" else a for a in command]
+    proc = run_cli(*argv, "--mode", mode, cwd=workdir)
+    return proc.returncode, proc.stderr
 
 
 def _error_lines(stderr: str) -> list[str]:
