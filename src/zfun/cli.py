@@ -27,7 +27,7 @@ from .scheme import (
     extend_map,
     member_space,
 )
-from .spaces import compose, glue_space, identity_map, metric_map
+from .spaces import glue_space, identity_map, metric_map
 from .suites import (
     CheckRecord,
     Report,
@@ -35,6 +35,7 @@ from .suites import (
     extension_functor_laws,
     extension_restricts,
     extension_transfers,
+    factorization_law,
     run_suite,
 )
 
@@ -279,16 +280,17 @@ def cmd_extend(args) -> int:
         member = ctx.member(label.strip() for label in args.subset.split(","))
         h = metric_map(ctx.ambient, ctx.ambient, assignment)
         u, v = decompose_automorphism(ctx, member, h)
-        check = compose(u, v) == h and all(u(x) == x for x in member)
+        held = factorization_law(CheckRecord("decomposition-factorization", "(a)", 1),
+                                 0, ctx, member, h, u, v)
         _emit({
             "command": "extend --decompose",
             "ambient": list(ctx.ambient.points),
             "subset": list(member),
             "fixes_subset_pointwise": dict(u.assignment),
             "extends_restriction": dict(v.assignment),
-            "pass": bool(check),
+            "pass": held,
         }, args)
-        return 0 if check else 1
+        return 0 if held else 1
 
     dom = member_space(ctx, labels("domain"))
     cod = member_space(ctx, labels("codomain"))

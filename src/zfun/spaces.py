@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, combinations
 from math import lcm
-from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -94,13 +93,12 @@ def metric_violations(
     Checks identity, symmetry, positivity and the triangle inequality over all
     ordered triples of distinct points, in that order.  Exact mode scans the
     matrix on its integer lattice, ``int`` rows as given (a space's lattice),
-    with tolerance zero, and walks a pair (i, j) over k only when some k has
-    ``d(i, k) - d(j, k) > d(i, j)``; float mode scans the floats as given.
-    Each test is written as ``not (x <= tol)`` or ``not (x > tol)``, the
-    comparisons of :class:`Mode`, so a NaN is a violation in float mode.
-    On a float matrix equal to its transpose, (k, j, i) computes the same
-    double as (i, j, k), as addition commutes, so the scan tests i < k first
-    and walks every ordered triple only when one of those fails.
+    with tolerance zero; float mode scans the floats as given.  Each test is
+    written as ``not (x <= tol)`` or ``not (x > tol)``, the comparisons of
+    :class:`Mode`, so a NaN is a violation in float mode.  On a matrix equal
+    to its transpose, (k, j, i) computes the same number as (i, j, k), as
+    addition commutes, so the scan tests i < k first and walks every ordered
+    triple only when one of those fails.
     """
     n, exact = len(points), mode.is_exact
     if exact and not set(map(type, chain.from_iterable(dist))) <= {int}:
@@ -113,34 +111,25 @@ def metric_violations(
             bad.append(("symmetry", (points[i], points[j])))
         if not d[i][j] > tol:
             bad.append(("positivity", (points[i], points[j])))
-    if not exact and _half_walk_holds(d, tol):
-        return bad
-    for i, row_i in enumerate(d):
-        for j, row_j in enumerate(d):
-            if i == j or exact and max(map(sub, row_i, row_j)) <= row_i[j]:
-                continue
-            dij = row_i[j]
-            for k, (dik, djk) in enumerate(zip(row_i, row_j)):
-                if not dik - (dij + djk) <= tol and k != i and k != j:
-                    bad.append(("triangle", (points[i], points[j], points[k])))
+    if tuple(map(tuple, d)) != tuple(zip(*d)) or next(_broken_triangles(d, tol, half=True), None):
+        bad += [("triangle", (points[i], points[j], points[k]))
+                for i, j, k in _broken_triangles(d, tol)]
     return bad
 
 
-def _half_walk_holds(d, tol) -> bool:
-    """Whether ``d`` equals its transpose and every triangle (i, j, k) with
-    i < k holds: ``d(i, k) - (d(i, j) + d(j, k)) <= tol``."""
-    if tuple(map(tuple, d)) != tuple(zip(*d)):
-        return False
+def _broken_triangles(d, tol, half=False):
+    """Each (i, j, k) of distinct indices, in order, whose triangle fails:
+    ``d(i, k) - (d(i, j) + d(j, k)) > tol``; with ``half``, only for i < k."""
     n = len(d)
     for i, row_i in enumerate(d):
+        start = i + 1 if half else 0
         for j, row_j in enumerate(d):
             if i == j:
                 continue
             dij = row_i[j]
-            for k in range(i + 1, n):
-                if not row_i[k] - (dij + row_j[k]) <= tol and k != j:
-                    return False
-    return True
+            for k in range(start, n):
+                if not row_i[k] - (dij + row_j[k]) <= tol and k != i and k != j:
+                    yield i, j, k
 
 
 def validate_space(

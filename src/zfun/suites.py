@@ -34,7 +34,6 @@ serialized form on purpose.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
@@ -82,6 +81,7 @@ from .spaces import (
     glue_space,
     identity_map,
     image,
+    is_bijective,
     is_injective,
     is_surjective,
     metric_map,
@@ -801,6 +801,25 @@ def extension_restricts(rec, trial, phi, hat) -> bool:
     return True
 
 
+def factorization_law(rec, idx, ctx, member, h, u, v) -> bool:
+    """Law (a) on ``h == u ∘ v``: ``u`` fixes ``member`` pointwise, ``v`` is the
+    extension of ``h`` restricted to it, and ``u`` is a bijection.  Each part
+    is a thunk; fail ``rec`` at the first that breaks and say whether all held."""
+    member_sp = member_space(ctx, member)
+    restriction = {x: h(x) for x in member}
+    for holds, witness in (
+        (lambda: compose(u, v) == h, "u∘v differs from h"),
+        (lambda: all(u(x) == x for x in member), "u moves a member point"),
+        (lambda: v == extend_map(ctx, metric_map(member_sp, member_sp, restriction)).extension,
+         "v is not the extension of the restriction"),
+        (lambda: is_bijective(u), "u is not a pointwise-fixing bijection"),
+    ):
+        if not holds():
+            rec.fail(idx, law=witness)
+            return False
+    return True
+
+
 def extension_functor_laws(rec, trial, ctx, phi, psi) -> None:
     """Law (a) on ``phi: K -> L`` and ``psi: L -> M``: the identity of K extends
     to the ambient identity, and the extension of ``psi ∘ phi`` is the
@@ -929,14 +948,14 @@ def _check_padded_functor(records, trial, rng, mode, ctx):
 
 
 @check("scheme", "scheme:chart-independence", ("chart-independence", "plumbing"),
-       trials=lambda cfg: 3, setup=lambda cfg: functools.partial(_fixture, cfg))
-def _check_chart_independence(rec, trial, rng, mode, fixture):
+       trials=lambda cfg: 3, setup=lambda cfg: cfg)
+def _check_chart_independence(rec, trial, rng, mode, cfg):
     """Laws (b) and (i)'s restriction under three randomized fixtures, one per
     trial, with those laws' witnesses; (i) needs a pad that can be glued."""
-    ctx = fixture(h_seed=trial)
+    ctx = _fixture(cfg, h_seed=trial)
     phi = _family_map(ctx, rng)
     held = extension_restricts(rec, trial, phi, extend_map(ctx, phi).extension)
-    if held and len(ctx.pad.points) >= 2:
+    if held and _wide_pad(cfg):
         _metric_extension_restricts(rec, trial, rng, mode, ctx, phi.codomain.points)
 
 
@@ -946,25 +965,12 @@ def _check_decomposition(rec, cfg, ctx):
     member_sp = member_space(ctx, member)
     bijections = _bijections(ctx, member, inside=True)
     fixing = _bijections(ctx, member, inside=False)
-    fixing_set = set(fixing)
     seen = set()
     for idx, h in enumerate(bijections):
         rec.instances += 1
         u, v = decompose_automorphism(ctx, member, h)
-        if compose(u, v) != h:
-            rec.fail(idx, law="u∘v differs from h")
-            continue
-        if any(u(x) != x for x in member):
-            rec.fail(idx, law="u moves a member point")
-            continue
-        restriction = metric_map(member_sp, member_sp, {x: h(x) for x in member})
-        if v != extend_map(ctx, restriction).extension:
-            rec.fail(idx, law="v is not the extension of the restriction")
-            continue
-        if u not in fixing_set:
-            rec.fail(idx, law="u is not a pointwise-fixing bijection")
-            continue
-        seen.add((u.assignment, v.assignment))
+        if factorization_law(rec, idx, ctx, member, h, u, v):
+            seen.add((u.assignment, v.assignment))
     # uniqueness: the factor pairs are distinct and exhaust the product count
     expected = len(fixing) * math.factorial(len(member))
     if len(seen) != len(bijections) or len(bijections) != expected:

@@ -645,6 +645,24 @@ class TestExtend:
         assert u["x0"] == "x0" and u["x1"] == "x1"
         assert v["x0"] == "x1" and v["x1"] == "x0"
 
+    def test_decompose_runs_the_scheme_suite_law(self, tmp_path, monkeypatch):
+        # h itself as u and the identity as v still compose to h, but u
+        # moves the member points; the suite's factorization_law fails it
+        def wrong_factors(ctx, member, h):
+            return h, identity_map(ctx.ambient)
+
+        self.setup_files(tmp_path)
+        monkeypatch.setattr(cli, "decompose_automorphism", wrong_factors)
+        proc = run_cli(
+            "extend", "h.json", "--n", "4", "--k", "2",
+            "--decompose", "--subset", "x0,x1",
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        assert payload["pass"] is False
+        assert payload["fixes_subset_pointwise"]["x0"] == "x1"
+
     def test_fixture_seed_is_an_unknown_flag(self, tmp_path, capsys):
         # --seed, or a fixture file's "seed", picks the fixture
         self.setup_files(tmp_path)

@@ -28,14 +28,19 @@ AMBIENT = {
 }
 BIG_LITERAL = "9" * 5000  # past the default integer string limit of 4300 digits
 
-# file contents that are not JSON: too deeply nested, not UTF-8, and, where
-# the interpreter has an integer string limit, an integer literal past it
+# file contents that are not JSON: too deeply nested, not UTF-8, and an
+# integer literal past the interpreter's integer string limit
 MALFORMED_BYTES = {
     "deep": b"[" * 100_000 + b"]" * 100_000,
     "not-utf8": b"\xff\xfe",
+    "long-integer": f"[{BIG_LITERAL}]".encode(),
 }
-if getattr(sys, "get_int_max_str_digits", lambda: 0)():
-    MALFORMED_BYTES["long-integer"] = f"[{BIG_LITERAL}]".encode()
+
+
+def _is_malformed(name: str) -> bool:
+    """Whether ``MALFORMED_BYTES[name]`` is not JSON in this interpreter: the
+    long integer is JSON where there is no integer string limit, or it is 0."""
+    return name != "long-integer" or bool(getattr(sys, "get_int_max_str_digits", lambda: 0)())
 
 # a valid object of each kind, and the commands that read it as "FILE"; the
 # other files each command names are the valid objects of those kinds
@@ -124,6 +129,8 @@ class TestMalformedBytes:
         ["extend", "extend-map.json", "--fixture", "FILE"],
     ], ids=lambda c: c[0])
     def test_exits_two_with_one_error_line(self, workdir, name, command):
+        if not _is_malformed(name):
+            pytest.skip("no integer string limit, so the long integer is JSON")
         code, stderr = _run(workdir, command, MALFORMED_BYTES[name], "exact")
         assert code == 2
         assert stderr.splitlines() == _error_lines(stderr)
@@ -133,8 +140,8 @@ class TestMalformedBytes:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_every_command_exits_two(self, workdir, mode):
         for command in (c for commands in COMMANDS.values() for c in commands):
-            for content in MALFORMED_BYTES.values():
-                code, stderr = _run(workdir, command, content, mode)
+            for name in filter(_is_malformed, MALFORMED_BYTES):
+                code, stderr = _run(workdir, command, MALFORMED_BYTES[name], mode)
                 assert (code, len(_error_lines(stderr))) == (2, 1), command
 
 

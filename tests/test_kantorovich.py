@@ -15,7 +15,9 @@ import pytest
 
 from zfun import (
     EXACT,
+    InfeasibleMass,
     InvalidWeights,
+    ProbMeasure,
     SpaceMismatch,
     diameter,
     dirac,
@@ -852,6 +854,13 @@ class TestValidatorsAndErrors:
     def test_space_mismatch(self):
         with pytest.raises(SpaceMismatch):
             kantorovich(dirac(space_ab(), "a"), dirac(space_abc(), "a"))
+
+    def test_unequal_totals_are_infeasible(self):
+        # the raw constructor trusts its weights, so a half mass reaches the primal
+        space = space_ab()
+        half = ProbMeasure(space, (("a", Fraction(1, 2)),))
+        with pytest.raises(InfeasibleMass, match="^totals differ: 1/2 vs 1$"):
+            kantorovich_primal(half, dirac(space, "b"))
 
     def test_exact_and_float_objects_do_not_mix(self):
         exact = space_ab()

@@ -229,9 +229,9 @@ class TestScanMatchesReference:
             assert got and got == reference_metric_violations(pts, d, mode)
 
     @staticmethod
-    def line(n):
-        """The float metric |i - j| on n points; every collinear triangle is tight."""
-        return [[float(abs(i - j)) for j in range(n)] for i in range(n)]
+    def line(n, number=float):
+        """The metric |i - j| on n points; every collinear triangle is tight."""
+        return [[number(abs(i - j)) for j in range(n)] for i in range(n)]
 
     @classmethod
     def half_walk_cases(cls, tol):
@@ -268,10 +268,39 @@ class TestScanMatchesReference:
         cases.append(("nan-below", d, None))
         return cases
 
+    @classmethod
+    def exact_half_walk_cases(cls):
+        """The same walk on ``int`` lattice rows, compared with tolerance zero."""
+        cases = []
+        for (i, k), bad in (
+            ((0, 3), [("p0", "p1", "p3"), ("p0", "p2", "p3"),
+                      ("p3", "p1", "p0"), ("p3", "p2", "p0")]),
+            ((2, 3), [("p2", "p1", "p3"), ("p3", "p1", "p2")]),
+            ((0, 1), [("p0", "p2", "p1"), ("p1", "p2", "p0")]),
+        ):
+            d = cls.line(4, int)
+            d[i][k] = d[k][i] = 4
+            cases.append((f"symmetric-break-{i}{k}", d, bad))
+        d = cls.line(3, int)
+        d[0][2] = d[2][0] = 3
+        cases.append(("symmetric-break-02", d, [("p0", "p1", "p2"), ("p2", "p1", "p0")]))
+        for name, upper, lower, bad in (
+            ("asymmetric-above", 3, 2, [("p0", "p1", "p2")]),
+            ("asymmetric-below", 2, 3, [("p2", "p1", "p0")]),
+        ):
+            d = cls.line(3, int)
+            d[0][2], d[2][0] = upper, lower
+            cases.append((name, d, bad))
+        return cases
+
     @pytest.mark.parametrize("rows", [list, tuple])
-    @pytest.mark.parametrize("mode", MODES[1:], ids=["float", "float-1e-3"])
+    @pytest.mark.parametrize("mode", MODES, ids=["exact", "float", "float-1e-3"])
     def test_the_i_below_k_walk_of_a_symmetric_matrix(self, mode, rows):
-        for name, d, bad in self.half_walk_cases(mode.tolerance):
+        if mode.is_exact:
+            cases = self.exact_half_walk_cases()
+        else:
+            cases = self.half_walk_cases(mode.tolerance)
+        for name, d, bad in cases:
             d = rows(map(rows, d))
             pts = [f"p{i}" for i in range(len(d))]
             expected = reference_metric_violations(pts, d, mode)
@@ -302,10 +331,12 @@ class TestScanMatchesReference:
             ("triangle", ("c", "b", "a")),
         ]
 
-    def test_row_test_fails_where_no_triangle_is_broken(self):
-        # a diagonal entry below or above zero puts k = j or k = i over the
-        # row test max_k d(i, k) - d(j, k) <= d(i, j) for the pair (0, 1);
-        # walking k then finds no triangle, only the identity violation
+    def test_the_walk_skips_k_equal_to_i_or_j_under_a_nonzero_diagonal(self):
+        # a diagonal entry below or above zero makes d(i, k) - d(j, k) exceed
+        # d(i, j) for the pair (0, 1) at k = j or k = i, a degenerate triangle
+        # the walk leaves out; it finds no triangle, only the identity
+        # violation, on the symmetric matrix (the i < k walk) and with one
+        # harmless asymmetric entry (the ordered walk)
         pts = ["p0", "p1", "p2"]
         for d, bad in (
             ([[0, 1, 1], [1, -1, 1], [1, 1, 0]], "p1"),
@@ -313,6 +344,9 @@ class TestScanMatchesReference:
         ):
             assert max(map(sub, d[0], d[1])) > d[0][1]
             expected = [("identity", (bad,))]
+            assert metric_violations(pts, d) == reference_metric_violations(pts, d) == expected
+            d[2][0] = 2
+            expected.append(("symmetry", ("p0", "p2")))
             assert metric_violations(pts, d) == reference_metric_violations(pts, d) == expected
 
     def test_a_non_finite_entry_is_a_format_error_in_exact_mode(self):
