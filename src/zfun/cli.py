@@ -280,8 +280,8 @@ def cmd_extend(args) -> int:
         member = ctx.member(label.strip() for label in args.subset.split(","))
         h = metric_map(ctx.ambient, ctx.ambient, assignment)
         u, v = decompose_automorphism(ctx, member, h)
-        held = factorization_law(CheckRecord("decomposition-factorization", "(a)", 1),
-                                 0, ctx, member, h, u, v)
+        record = CheckRecord("decomposition-factorization", "(a)", 1)
+        held = factorization_law(record, 0, ctx, member, h, u, v)
         _emit({
             "command": "extend --decompose",
             "ambient": list(ctx.ambient.points),
@@ -289,6 +289,7 @@ def cmd_extend(args) -> int:
             "fixes_subset_pointwise": dict(u.assignment),
             "extends_restriction": dict(v.assignment),
             "pass": held,
+            **({} if held else {"failures": record.failures}),
         }, args)
         return 0 if held else 1
 

@@ -14,7 +14,7 @@ from operator import truediv
 from typing import Sequence
 
 from .numbers import EXACT, Mode
-from .spaces import FiniteMetricSpace, MetricMap, diameter, metric_map, validate_space
+from .spaces import FiniteMetricSpace, MetricMap, diameter, metric_map, scanned_space
 from .measures import ProbMeasure, prob_measure
 from .stepspace import StepFunction, step_function
 
@@ -44,33 +44,43 @@ def random_space(
     pts = tuple(labels) if labels is not None else tuple(f"{prefix}{i}" for i in range(size))
     n = len(pts)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    draws = [(rng.randint(1, 40), rng.randint(1, 8)) for _ in pairs]
+    bits = rng.getrandbits
+    draws = [(_randint(bits, 1, 40), _randint(bits, 1, 8)) for _ in pairs]
     scale = lcm(*(q for _, q in draws))
     d = [[0] * n for _ in range(n)]
     for (i, j), (p, q) in zip(pairs, draws):
         d[i][j] = d[j][i] = p * (scale // q)
-    for k, row_k in enumerate(d):
-        for row_i in d:
-            dik = row_i[k]
-            for j, dkj in enumerate(row_k):
-                if dik + dkj < row_i[j]:
-                    row_i[j] = dik + dkj
+    if n > 2:  # a path shorter than an edge needs a third point
+        for k, row_k in enumerate(d):
+            for row_i in d:
+                dik = row_i[k]
+                for j, dkj in enumerate(row_k):
+                    if dik + dkj < row_i[j]:
+                        row_i[j] = dik + dkj
     ratio = Fraction if mode.is_exact else truediv
     matrix = [[mode.zero] * n for _ in range(n)]
     for i, j in pairs:
         matrix[i][j] = matrix[j][i] = ratio(d[i][j], scale)
     lattice = (tuple(map(tuple, d)), scale) if mode.is_exact else None
-    return validate_space(pts, tuple(map(tuple, matrix)), mode, lattice=lattice)
+    return scanned_space(pts, tuple(map(tuple, matrix)), mode, lattice)
+
+
+def _randint(getrandbits, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)`` from ``rng.getrandbits``: CPython's rejection
+    loop (3.10 to 3.13), so the value and the stream left behind are the same."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return lo + r
 
 
 def normalize_diameter(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Rescale so the diameter is exactly one (space must have >= 2 points)."""
     top = diameter(space)
-    return validate_space(
-        space.points,
-        [[v / top for v in row] for row in space.dist],
-        space.mode,
-    )
+    rows = tuple(tuple(v / top for v in row) for row in space.dist)
+    return scanned_space(space.points, rows, space.mode)
 
 
 def random_measure(

@@ -46,8 +46,8 @@ from .spaces import (
     is_bijective,
     metric_map,
     relabel_disjoint,
+    scanned_space,
     subspace,
-    validate_space,
 )
 
 
@@ -220,7 +220,7 @@ def extend_metric(
     Pull the metric back along the chart, adjoin the pad at cross distance
     ``max(diameter, 1)``, and push the result forward to ambient labels.  The
     output restricts to ``d`` on the member exactly (for any charts) and is
-    re-validated as a metric.  A one-point pad has diameter 0, so the gluing
+    axiom-scanned again.  A one-point pad has diameter 0, so the gluing
     raises :class:`AnchorDiameterNotOne` when ``n - k == 1``.
     """
     key = ctx.member(member)
@@ -238,11 +238,11 @@ def extend_metric(
     )
     padded = glue_space(pulled, ctx.pad)
     h_inv = ctx.chart_inverse(key)
-    matrix = [
-        [padded.distance(h_inv[a], h_inv[b]) for b in ctx.ambient.points]
+    matrix = tuple(
+        tuple(padded.distance(h_inv[a], h_inv[b]) for b in ctx.ambient.points)
         for a in ctx.ambient.points
-    ]
-    return validate_space(ctx.ambient.points, matrix, mode)
+    )
+    return scanned_space(ctx.ambient.points, matrix, mode)
 
 
 # ---------------------------------------------------------------------------

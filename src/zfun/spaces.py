@@ -37,9 +37,10 @@ class FiniteMetricSpace:
 
     ``mode`` is the arithmetic the distances were validated in; it takes part
     in equality, so an exact and a float space are never equal.  Build
-    instances through :func:`validate_space`; the raw constructor trusts its
-    arguments.  :attr:`lattice` is no field and takes no part in equality,
-    hashing or ``repr``: two ways of building one matrix may scale it apart.
+    instances through :func:`validate_space`, or :func:`scanned_space` for a
+    matrix the library made; the raw constructor trusts its arguments.
+    :attr:`lattice` is no field and takes no part in equality, hashing or
+    ``repr``: two ways of building one matrix may scale it apart.
     """
 
     points: tuple[str, ...]
@@ -132,27 +133,37 @@ def _broken_triangles(d, tol, half=False):
                     yield i, j, k
 
 
+def scanned_space(
+    points: tuple[str, ...], dist: tuple[tuple[Num, ...], ...], mode: Mode, lattice=None
+) -> FiniteMetricSpace:
+    """The space of a matrix the library built, after one axiom scan.
+
+    Trusts what its builder made: distinct labels, a square tuple of tuples,
+    numbers already in ``mode``.  An exact builder that holds the matrix's
+    ``int`` rows and scale hands them over as ``lattice=(rows, scale)``.
+    Raises :class:`AxiomViolation` as :func:`validate_space` does.
+    """
+    space = FiniteMetricSpace(points, dist, mode)
+    if lattice is not None:
+        vars(space)["lattice"] = lattice  # what the cached property would hold
+    violations = metric_violations(points, space.lattice[0] if mode.is_exact else dist, mode)
+    if violations:
+        raise AxiomViolation(violations)
+    return space
+
+
 def validate_space(
-    points: Iterable[str], dist: Sequence[Sequence], mode: Mode = EXACT, *, lattice=None
+    points: Iterable[str], dist: Sequence[Sequence], mode: Mode = EXACT
 ) -> FiniteMetricSpace:
     """Validate labels and matrix and return the immutable space.
 
     Numbers are converted according to ``mode`` (strings like "3/2" accepted).
     Raises :class:`AxiomViolation` carrying *all* violated axioms, with
-    witnesses, if the matrix is not a metric.  A builder already holding an
-    exact, converted ``dist`` on its lattice passes ``lattice=(rows, scale)``.
+    witnesses, if the matrix is not a metric.
     """
     pts = tuple(points)
     _structural_check(pts, dist)
-    if lattice is None:
-        dist = tuple(tuple(map(mode.convert, row)) for row in dist)
-    space = FiniteMetricSpace(pts, dist, mode)
-    if lattice is not None:
-        vars(space)["lattice"] = lattice  # what the cached property would hold
-    violations = metric_violations(pts, space.lattice[0] if mode.is_exact else space.dist, mode)
-    if violations:
-        raise AxiomViolation(violations)
-    return space
+    return scanned_space(pts, tuple(tuple(map(mode.convert, row)) for row in dist), mode)
 
 
 def diameter(space: FiniteMetricSpace) -> Num:
@@ -329,7 +340,7 @@ def _blocks(a, b, cross) -> tuple[tuple, ...]:
 def glue_space(
     space: FiniteMetricSpace, anchor: FiniteMetricSpace | None = None
 ) -> FiniteMetricSpace:
-    """Adjoin a disjoint copy of the anchor; re-verified by the validator.
+    """Adjoin a disjoint copy of the anchor; the result is axiom-scanned.
 
     Point order is ``space.points`` followed by the (relabeled) anchor points;
     the matrix is block-diagonal, every cross distance ``max(diameter(space), 1)``.
@@ -340,13 +351,13 @@ def glue_space(
     pts = space.points + relabel_disjoint(anchor.points, space.points)
     matrix = _blocks(space.dist, anchor.dist, max(diameter(space), mode.one))
     if not mode.is_exact:
-        return validate_space(pts, matrix, mode)
+        return scanned_space(pts, matrix, mode)
     (a, s), (b, t) = space.lattice, anchor.lattice
     scale = lcm(s, t)
     a = [[v * (scale // s) for v in row] for row in a]
     b = [[v * (scale // t) for v in row] for row in b]
     rows = _blocks(a, b, max(max(map(max, a)), scale))
-    return validate_space(pts, matrix, mode, lattice=(rows, scale))
+    return scanned_space(pts, matrix, mode, (rows, scale))
 
 
 def glue_map(f: MetricMap, anchor: FiniteMetricSpace | None = None) -> MetricMap:

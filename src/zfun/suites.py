@@ -964,15 +964,16 @@ def _check_decomposition(rec, cfg, ctx):
     member = ctx.family[0]
     member_sp = member_space(ctx, member)
     bijections = _bijections(ctx, member, inside=True)
-    fixing = _bijections(ctx, member, inside=False)
     seen = set()
     for idx, h in enumerate(bijections):
         rec.instances += 1
         u, v = decompose_automorphism(ctx, member, h)
         if factorization_law(rec, idx, ctx, member, h, u, v):
             seen.add((u.assignment, v.assignment))
-    # uniqueness: the factor pairs are distinct and exhaust the product count
-    expected = len(fixing) * math.factorial(len(member))
+    # uniqueness: the factor pairs are distinct and exhaust the product count,
+    # (n - k)! pointwise-fixing bijections times k! member bijections
+    n, k = len(ctx.ambient.points), len(member)
+    expected = math.factorial(n - k) * math.factorial(k)
     if len(seen) != len(bijections) or len(bijections) != expected:
         rec.fail(len(bijections), law="factorization is not a bijection",
                  pairs=str(len(seen)), maps=str(len(bijections)),

@@ -448,15 +448,6 @@ class TestHugeDistances:
                 json.dumps({"space": "s.json", "weights": {p: "1"}})
             )
 
-    @pytest.fixture()
-    def default_limit(self):
-        """The default integer string limit of 4300 digits, whatever this
-        process started with."""
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        yield
-        sys.set_int_max_str_digits(saved)
-
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this interpreter has no integer string limit")
     @pytest.mark.parametrize("args", [("glue", "s.json"), ("dist", "a.json", "b.json")],
@@ -514,7 +505,9 @@ class TestHugeDistances:
         huge = "<more digits than the integer string conversion limit>"
         assert proc.stderr.strip().splitlines() == ["error: " + message.format(huge=huge)]
 
-    def test_a_literal_past_the_limit_is_rejected_when_parsed(self, tmp_path):
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no integer string limit")
+    def test_a_literal_past_the_limit_is_rejected_when_parsed(self, tmp_path, default_limit):
         self.setup_files(tmp_path, "1" * 5001)
         proc = run_cli("glue", "s.json", cwd=tmp_path)
         assert proc.returncode == 2
@@ -640,6 +633,8 @@ class TestExtend:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["pass"] is True
+        assert list(payload) == ["command", "ambient", "subset", "fixes_subset_pointwise",
+                                 "extends_restriction", "pass"]
         u = payload["fixes_subset_pointwise"]
         v = payload["extends_restriction"]
         assert u["x0"] == "x0" and u["x1"] == "x1"
@@ -662,6 +657,7 @@ class TestExtend:
         payload = json.loads(proc.stdout)
         assert payload["pass"] is False
         assert payload["fixes_subset_pointwise"]["x0"] == "x1"
+        assert payload["failures"] == [{"instance": "0", "law": "u moves a member point"}]
 
     def test_fixture_seed_is_an_unknown_flag(self, tmp_path, capsys):
         # --seed, or a fixture file's "seed", picks the fixture

@@ -1,10 +1,13 @@
-"""Seeded generators: ``random_space`` against a Fraction Floyd–Warshall, and
-float ``random_measure`` against the exact draw."""
+"""Seeded generators: ``random_space`` against a Fraction Floyd–Warshall, its
+draws against ``random.Random.randint``, and float ``random_measure`` against
+the exact draw."""
+
+import random
 
 import pytest
 
 from zfun import EXACT, float_mode
-from zfun.generate import random_measure, random_space, rng_for
+from zfun.generate import _randint, random_measure, random_space, rng_for
 from zfun.measures import prob_measure
 
 from helpers import reference_random_distances
@@ -25,6 +28,17 @@ def test_random_space_matches_the_fraction_closure(mode, draws):
         )
         assert repr(space.dist) == repr(expected), (seed, size)
         assert rng.random() == ref_rng.random(), (seed, size)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 40), (1, 8)])
+def test_draws_are_the_interpreters_randint(lo, hi):
+    """The same values as ``randint`` and the same state left behind, on the
+    running interpreter, for every range ``random_space`` draws from."""
+    for seed in range(200):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = [_randint(rng.getrandbits, lo, hi) for _ in range(64)]
+        assert got == [ref_rng.randint(lo, hi) for _ in range(64)], seed
+        assert rng.getstate() == ref_rng.getstate(), seed
 
 
 @pytest.mark.parametrize("full_support", [False, True], ids=["sparse", "full"])

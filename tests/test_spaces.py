@@ -39,6 +39,7 @@ from zfun import (
     validate_space,
 )
 from zfun.generate import normalize_diameter, random_map, random_space, rng_for
+from zfun.spaces import scanned_space
 
 from helpers import (
     all_maps,
@@ -654,12 +655,37 @@ class TestLattice:
         subspace(space, space.points[:2])
         assert scanned == [4, 3, 3, 6, 7]
 
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    def test_each_library_built_space_is_scanned_once(self, monkeypatch, mode):
+        # builders skip validate_space's shape and label checks, not the scan
+        spaces = importlib.import_module("zfun.spaces")
+        scans = []
+        scan = spaces.metric_violations
+
+        def counting(points, dist, mode):
+            scans.append(points)
+            return scan(points, dist, mode)
+
+        monkeypatch.setattr(spaces, "metric_violations", counting)
+        rng = rng_for(98, "one-scan")
+        for n in range(1, 9):
+            space = random_space(rng, n, mode=mode)
+            assert scans == [space.points]
+            glued = glue_space(space)
+            assert scans == [space.points, glued.points]
+            scans.clear()
+        with pytest.raises(BadParameters, match="must be 2x2"):
+            validate_space(["a", "b"], [["0", "1"], ["1"]], mode)
+        with pytest.raises(BadParameters, match="distinct"):
+            validate_space(["a", "a"], [["0", "1"], ["1", "0"]], mode)
+        assert scans == []
+
     def test_the_scan_reads_a_handed_over_lattice(self):
         half = Fraction(1, 2)
         dist = ((Fraction(0), half, half), (half, Fraction(0), half), (half, half, Fraction(0)))
         rows = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-        assert validate_space("abc", dist, lattice=(rows, 2)).lattice == (rows, 2)
+        assert scanned_space(("a", "b", "c"), dist, EXACT, (rows, 2)).lattice == (rows, 2)
         broken = ((0, 1, 3), (1, 0, 1), (3, 1, 0))
         with pytest.raises(AxiomViolation) as err:
-            validate_space("abc", dist, lattice=(broken, 2))
+            scanned_space(("a", "b", "c"), dist, EXACT, (broken, 2))
         assert ("triangle", ("a", "b", "c")) in err.value.violations
