@@ -50,7 +50,6 @@ from .measures import (
 from .numbers import EXACT, Mode, float_mode, format_number, parse_number
 from .scheme import (
     ContinuationContext,
-    ExtensionResult,
     build_finite_fixture,
     decompose_automorphism,
     extend_map,
@@ -106,7 +105,7 @@ __all__ = [
     "in_image", "integrate", "measures_equal", "preimage_measure",
     "prob_measure", "pushforward",
     "EXACT", "Mode", "float_mode", "format_number", "parse_number",
-    "ContinuationContext", "ExtensionResult", "build_finite_fixture",
+    "ContinuationContext", "build_finite_fixture",
     "decompose_automorphism", "extend_map", "extend_metric", "member_space",
     "ANCHOR_PREFIX", "FiniteMetricSpace", "MetricMap", "compose",
     "default_anchor", "diameter", "glue_map", "glue_space",

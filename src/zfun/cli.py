@@ -23,6 +23,7 @@ from .measures import pushforward
 from .numbers import DEFAULT_FLOAT_TOLERANCE, mode_from_name
 from .scheme import (
     build_finite_fixture,
+    conjugate_map,
     decompose_automorphism,
     extend_map,
     member_space,
@@ -296,8 +297,7 @@ def cmd_extend(args) -> int:
     dom = member_space(ctx, labels("domain"))
     cod = member_space(ctx, labels("codomain"))
     phi = metric_map(dom, cod, assignment)
-    result = extend_map(ctx, phi)
-    hat = result.extension
+    hat = extend_map(ctx, phi)
 
     records = [CheckRecord("extension-restricts", "(b)", len(dom.points))]
     extension_restricts(records[0], 0, phi, hat)
@@ -316,7 +316,7 @@ def cmd_extend(args) -> int:
                     n=len(ctx.ambient.points), k=ctx.subset_size)
     return _emit_report(Report("extend", cfg, records), args,
                         original=dict(phi.assignment),
-                        conjugate=dict(result.conjugate.assignment),
+                        conjugate=dict(conjugate_map(ctx, phi).assignment),
                         extension=dict(hat.assignment))
 
 

@@ -164,48 +164,31 @@ def member_space(ctx: ContinuationContext, member: Sequence[str]) -> FiniteMetri
 # map extension
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
-    """A map between family members with its two derived forms.
+def conjugate_map(ctx: ContinuationContext, phi: MetricMap) -> MetricMap:
+    """A map between family members in member-plus-pad coordinates: read a
+    member point through its chart, apply ``phi``, read back through the
+    codomain chart."""
+    dom = member_space(ctx, phi.domain.points)
+    cod = member_space(ctx, phi.codomain.points)
+    h_dom = ctx.chart(dom.points)
+    h_cod_inv = ctx.chart_inverse(cod.points)
+    return metric_map(dom, cod, {x: h_cod_inv[phi(h_dom[x])] for x in dom.points})
 
-    ``conjugate`` is the map rewritten in member-plus-pad coordinates;
-    ``extension`` is the ambient self-map (the member behaves like the
-    original, the rest rides along the charts).
+
+def extend_map(ctx: ContinuationContext, phi: MetricMap) -> MetricMap:
+    """Extend a map between family members to an ambient self-map: the member
+    behaves like ``phi``, the rest rides along the charts.
+
+    Apply :func:`conjugate_map` on the member, let pad points pass through
+    unchanged, and conjugate the padded map by the charts on the ambient side.
     """
-
-    original: MetricMap
-    conjugate: MetricMap
-    extension: MetricMap
-
-
-def extend_map(ctx: ContinuationContext, phi: MetricMap) -> ExtensionResult:
-    """Extend a map between family members to an ambient self-map.
-
-    Composition route: read a member point through its chart, apply ``phi``,
-    read back through the codomain chart; pad points pass through unchanged;
-    finally conjugate the padded map by the charts on the ambient side.
-    """
-    dom_key = ctx.member(phi.domain.points)
-    cod_key = ctx.member(phi.codomain.points)
-    h_dom = ctx.chart(dom_key)
-    h_cod_inv = ctx.chart_inverse(cod_key)
-    h_cod = ctx.chart(cod_key)
-    h_dom_inv = ctx.chart_inverse(dom_key)
-
-    dom_space = subspace(ctx.ambient, dom_key)
-    cod_space = subspace(ctx.ambient, cod_key)
-    conjugate = metric_map(
-        dom_space, cod_space, {x: h_cod_inv[phi(h_dom[x])] for x in dom_key}
-    )
-
-    dom_set = set(dom_key)
-    table = {}
-    for a in ctx.ambient.points:
-        x = h_dom_inv[a]
-        y = conjugate(x) if x in dom_set else x
-        table[a] = h_cod[y]
-    extension = metric_map(ctx.ambient, ctx.ambient, table)
-    return ExtensionResult(phi, conjugate, extension)
+    conjugate = conjugate_map(ctx, phi)
+    moved = conjugate.as_dict()
+    h_cod = ctx.chart(conjugate.codomain.points)
+    return metric_map(ctx.ambient, ctx.ambient, {
+        a: h_cod[moved.get(x, x)]
+        for a, x in ctx.chart_inverse(conjugate.domain.points).items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +252,18 @@ def decompose_automorphism(
         )
     member_sp = subspace(ctx.ambient, key)
     restriction = metric_map(member_sp, member_sp, {x: h(x) for x in key})
-    v = extend_map(ctx, restriction).extension
+    v = extend_map(ctx, restriction)
     u = compose(h, invert(v))
     return u, v
 
 
-def _bijections(
-    ctx: ContinuationContext, member: Sequence[str], inside: bool
-) -> list[MetricMap]:
-    """All ambient self-bijections carrying the member onto itself, lexicographic
-    in ambient point order; with ``inside`` false, only those fixing it pointwise."""
+def _bijections(ctx: ContinuationContext, member: Sequence[str]) -> list[MetricMap]:
+    """All ambient self-bijections carrying the member onto itself,
+    lexicographic in ambient point order."""
     key = ctx.member(member)
     rest = tuple(p for p in ctx.ambient.points if p not in key)
     return [
         metric_map(ctx.ambient, ctx.ambient, dict(zip(key + rest, sigma + tau)))
-        for sigma in (itertools.permutations(key) if inside else (key,))
+        for sigma in itertools.permutations(key)
         for tau in itertools.permutations(rest)
     ]

@@ -380,6 +380,18 @@ def all_maps(domain: FiniteMetricSpace, codomain: FiniteMetricSpace):
         yield metric_map(domain, codomain, dict(zip(pts, targets)))
 
 
+def reference_extension(ctx, phi):
+    """The extension of ``phi: K -> L`` in closed form: ``phi`` on K, and
+    ``chart(L) ∘ chart_inverse(K)`` off K, where both charts send pad labels
+    to the points outside their member."""
+    dom = ctx.member(phi.domain.points)
+    to_cod = ctx.chart(ctx.member(phi.codomain.points))
+    from_dom = ctx.chart_inverse(dom)
+    return metric_map(ctx.ambient, ctx.ambient, {
+        a: phi(a) if a in dom else to_cod[from_dom[a]] for a in ctx.ambient.points
+    })
+
+
 # ---------------------------------------------------------------------------
 # reference simplex on a Fraction tableau
 

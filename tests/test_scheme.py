@@ -8,6 +8,7 @@ import pytest
 
 from zfun import (
     ANCHOR_PREFIX,
+    EXACT,
     AnchorDiameterNotOne,
     BadParameters,
     InvalidMetric,
@@ -36,7 +37,7 @@ from zfun import (
 from zfun.generate import random_map, random_space, rng_for
 from zfun.scheme import _bijections
 
-from helpers import all_maps
+from helpers import all_maps, reference_extension
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,12 @@ def family_map(ctx, dom_key, cod_key, assignment):
     return metric_map(
         subspace(ctx.ambient, dom_key), subspace(ctx.ambient, cod_key), assignment
     )
+
+
+def member_maps(ctx):
+    """Every map from a family member to a family member."""
+    for dom_key, cod_key in itertools.product(ctx.family, repeat=2):
+        yield from all_maps(subspace(ctx.ambient, dom_key), subspace(ctx.ambient, cod_key))
 
 
 class TestFixtureShape:
@@ -99,16 +106,19 @@ class TestExtension:
             for cod_key in ctx42.family:
                 cod = subspace(ctx42.ambient, cod_key)
                 for phi in all_maps(dom, cod):
-                    result = extend_map(ctx42, phi)
-                    assert result.original == phi
-                    hat = result.extension
+                    hat = extend_map(ctx42, phi)
                     assert hat.domain == hat.codomain == ctx42.ambient
                     assert all(hat(x) == phi(x) for x in dom_key)
+
+    def test_matches_the_closed_form_exhaustively(self, ctx42):
+        # off the domain member, each point rides along the two charts
+        for phi in member_maps(ctx42):
+            assert extend_map(ctx42, phi) == reference_extension(ctx42, phi)
 
     def test_identity_law_per_member(self, ctx42):
         for key in ctx42.family:
             member = subspace(ctx42.ambient, key)
-            hat = extend_map(ctx42, identity_map(member)).extension
+            hat = extend_map(ctx42, identity_map(member))
             assert hat == identity_map(ctx42.ambient)
 
     def test_composition_law_exhaustive(self, ctx42):
@@ -118,10 +128,10 @@ class TestExtension:
             s3 = subspace(ctx42.ambient, k3)
             for phi in all_maps(s1, s2):
                 for psi in all_maps(s2, s3):
-                    lhs = extend_map(ctx42, compose(psi, phi)).extension
+                    lhs = extend_map(ctx42, compose(psi, phi))
                     rhs = compose(
-                        extend_map(ctx42, psi).extension,
-                        extend_map(ctx42, phi).extension,
+                        extend_map(ctx42, psi),
+                        extend_map(ctx42, phi),
                     )
                     assert lhs == rhs
 
@@ -131,7 +141,7 @@ class TestExtension:
             for cod_key in ctx42.family:
                 cod = subspace(ctx42.ambient, cod_key)
                 for phi in all_maps(dom, cod):
-                    hat = extend_map(ctx42, phi).extension
+                    hat = extend_map(ctx42, phi)
                     assert is_injective(hat) == is_injective(phi)
                     assert is_surjective(hat) == is_surjective(phi)
                     # the ambient image is the map's image plus everything
@@ -150,7 +160,7 @@ class TestExtension:
         ctx = build_finite_fixture(2, 1, seed=3)
         (first, second) = ctx.ambient.points
         phi = family_map(ctx, (first,), (second,), {first: second})
-        hat = extend_map(ctx, phi).extension
+        hat = extend_map(ctx, phi)
         assert hat(first) == second
 
 
@@ -211,7 +221,7 @@ class TestMetricExtension:
         # under the extended metric
         extended = extend_metric(ctx42, cod_key, d)
         for phi, psi in pairs:
-            phi_hat, psi_hat = (extend_map(ctx42, f).extension for f in (phi, psi))
+            phi_hat, psi_hat = (extend_map(ctx42, f) for f in (phi, psi))
             lhs = max(d.distance(phi(x), psi(x)) for x in dom.points)
             rhs = max(extended.distance(phi_hat(a), psi_hat(a))
                       for a in ctx42.ambient.points)
@@ -260,10 +270,14 @@ class TestPadded:
 class TestDecomposition:
     def test_exhaustive_factorization_n4_k2(self, ctx42):
         key = ctx42.family[0]
-        preserving = _bijections(ctx42, key, inside=True)
-        fixing = _bijections(ctx42, key, inside=False)
+        preserving = _bijections(ctx42, key)
+        fixing = [h for h in preserving if all(h(x) == x for x in key)]
         assert len(preserving) == 4  # 2! on the member times 2! outside
-        assert fixing == [h for h in preserving if all(h(x) == x for x in key)]
+        # the pointwise-fixing ones: the identity, then the swap off the member
+        assert [h.as_dict() for h in fixing] == [
+            {"x0": "x0", "x1": "x1", "x2": "x2", "x3": "x3"},
+            {"x0": "x0", "x1": "x1", "x2": "x3", "x3": "x2"},
+        ]
         member = subspace(ctx42.ambient, key)
         rebuilt = []
         for h in preserving:
@@ -271,14 +285,14 @@ class TestDecomposition:
             assert compose(u, v) == h
             assert all(u(x) == x for x in key)
             restriction = metric_map(member, member, {x: h(x) for x in key})
-            assert v == extend_map(ctx42, restriction).extension
+            assert v == extend_map(ctx42, restriction)
             rebuilt.append(h)
         # the pairing (fixing, restriction-extension) -> product is a bijection
         products = {
             compose(u, v).assignment
             for u in fixing
             for v in (
-                extend_map(ctx42, g).extension
+                extend_map(ctx42, g)
                 for g in all_maps(member, member)
                 if is_bijective(g)
             )
@@ -293,10 +307,10 @@ class TestDecomposition:
         assert len(bijections) == 2
         for g1 in bijections:
             for g2 in bijections:
-                lhs = extend_map(ctx42, compose(g1, g2)).extension
+                lhs = extend_map(ctx42, compose(g1, g2))
                 rhs = compose(
-                    extend_map(ctx42, g1).extension,
-                    extend_map(ctx42, g2).extension,
+                    extend_map(ctx42, g1),
+                    extend_map(ctx42, g2),
                 )
                 assert lhs == rhs
 
@@ -308,9 +322,9 @@ class TestDecomposition:
         assert len(bijections) == 6
         for g1 in bijections:
             for g2 in bijections:
-                assert extend_map(ctx, compose(g1, g2)).extension == compose(
-                    extend_map(ctx, g1).extension,
-                    extend_map(ctx, g2).extension,
+                assert extend_map(ctx, compose(g1, g2)) == compose(
+                    extend_map(ctx, g1),
+                    extend_map(ctx, g2),
                 )
 
     def test_rejections(self, ctx42):
@@ -348,13 +362,13 @@ class TestChartIndependence:
         cod = subspace(ctx.ambient, cod_key)
         for _ in range(15):
             phi = random_map(rng, dom, cod)
-            hat = extend_map(ctx, phi).extension
+            hat = extend_map(ctx, phi)
             assert all(hat(x) == phi(x) for x in dom_key)
             assert is_injective(hat) == is_injective(phi)
             assert set(image(hat)) == set(image(phi)) | (
                 set(ctx.ambient.points) - set(cod_key)
             )
-        assert extend_map(ctx, identity_map(dom)).extension == identity_map(
+        assert extend_map(ctx, identity_map(dom)) == identity_map(
             ctx.ambient
         )
         d = random_space(rng, len(dom_key), labels=dom_key)
@@ -362,6 +376,12 @@ class TestChartIndependence:
         for x in dom_key:
             for y in dom_key:
                 assert extended.distance(x, y) == d.distance(x, y)
+
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    def test_matches_the_closed_form_for_shuffled_charts(self, mode):
+        ctx = build_finite_fixture(5, 2, seed=9, mode=mode, h_seed=1)
+        for phi in member_maps(ctx):
+            assert extend_map(ctx, phi) == reference_extension(ctx, phi)
 
     def test_charts_actually_vary(self):
         canonical = build_finite_fixture(5, 2, seed=9)

@@ -22,7 +22,6 @@ from zfun import (
 from zfun.generate import rng_for
 from zfun.kantorovich import kantorovich
 from zfun.measures import dirac
-from zfun.scheme import ExtensionResult
 from zfun.stepspace import dirac_const, integral_metric
 from zfun.suites import (
     MAX_WITNESSES,
@@ -488,8 +487,8 @@ class TestLawsLiveInTheSuites:
 
     def test_a_moved_extension_fails_chart_independence_as_law_b(self, monkeypatch):
         # every ambient point is sent to the ambient's last point
-        monkeypatch.setattr(suites, "extend_map", lambda ctx, phi: ExtensionResult(
-            phi, phi, _onto_last_point(ctx.ambient, ctx.ambient)))
+        monkeypatch.setattr(suites, "extend_map",
+                            lambda ctx, phi: _onto_last_point(ctx.ambient, ctx.ambient))
         keys = self.keys("scheme")
         witness = {("instance", "point", "original", "extended")}
         assert keys["extension-restricts"] == keys["chart-independence"] == witness
